@@ -4,6 +4,12 @@ One .npz archive holds a JSON metadata entry (model config, vocabulary,
 lexicon terms, label names, text schema) plus every named parameter array
 with its shape. Loading rebuilds the model and reproduces eval logits
 bit-exactly at equal precision.
+
+Format 2 stores each expert's query, key and value projections as one
+(model_dim, model_dim) matrix per kind, ``expert{e}.w{q,k,v}``, head h in
+column block h. Format 1 stored one (model_dim, head_dim) matrix per head,
+``expert{e}.h{h}.w{q,k,v}``; such archives still load, their head matrices
+joined into the format 2 layout.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from .lexicon import Lexicon
 from .model import ModelConfig, MoeClassifier
 from .tensor import Tensor
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _PARAM = "param/"
 
 
@@ -57,32 +63,43 @@ def save_checkpoint(path: str, model: MoeClassifier, vocab: Vocabulary,
     return path
 
 
+def _join_heads(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> None:
+    """Rewrite format 1 per-head projections as format 2 column blocks."""
+    for e in range(cfg.num_experts):
+        for w in ("wq", "wk", "wv"):
+            heads = [arrays.pop(f"expert{e}.h{h}.{w}") for h in range(cfg.num_heads)]
+            arrays[f"expert{e}.{w}"] = np.concatenate(heads, axis=1)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     with np.load(path, allow_pickle=False) as z:
         if "meta" not in z.files:
             raise UsageError(f"{path}: not a checkpoint (no meta entry)")
-        meta = json.loads(str(z["meta"][()]))
-        if meta.get("version") != FORMAT_VERSION:
-            raise UsageError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        try:
+            meta = json.loads(str(z["meta"][()]))
+        except json.JSONDecodeError as e:
+            raise UsageError(f"{path}: corrupt checkpoint meta: {e}") from None
         arrays = {k[len(_PARAM):]: z[k] for k in z.files if k.startswith(_PARAM)}
-    raw = dict(meta["config"])
-    raw["classes_per_task"] = tuple(raw["classes_per_task"])
-    cfg = ModelConfig(**raw)
-    tokens = list(meta["vocab"])
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version not in (1, FORMAT_VERSION):
+        raise UsageError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        raw = dict(meta["config"])
+        raw["classes_per_task"] = tuple(raw["classes_per_task"])
+        cfg = ModelConfig(**raw)
+        tokens = list(meta["vocab"])
+        lexicon = Lexicon(frozenset(meta["lexicon"]),
+                          language=meta["lexicon_language"], source=path)
+        label_names = {k: list(v) for k, v in meta["label_names"].items()}
+        schema = {k: meta[k] for k in ("language", "text_column", "label_column")}
+        if version == 1:
+            _join_heads(arrays, cfg)
+        embedding = arrays["embedding"]
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise UsageError(f"{path}: incomplete checkpoint: {type(e).__name__}: {e}") from None
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tuple(tokens))
-    dtype = arrays["embedding"].dtype
-    emb = EmbeddingTable(Tensor(arrays["embedding"].copy(), requires_grad=True),
-                         cfg.word_dim)
-    model = MoeClassifier(cfg, emb, np.random.default_rng(0), dtype=dtype)
+    emb = EmbeddingTable(Tensor(embedding, requires_grad=True), cfg.word_dim)
+    model = MoeClassifier(cfg, emb, np.random.default_rng(0), dtype=embedding.dtype)
     model.load_state_arrays(arrays)
-    lexicon = Lexicon(frozenset(meta["lexicon"]), language=meta["lexicon_language"],
-                      source=path)
-    return Checkpoint(
-        model=model,
-        vocab=vocab,
-        lexicon=lexicon,
-        label_names={k: list(v) for k, v in meta["label_names"].items()},
-        language=meta["language"],
-        text_column=meta["text_column"],
-        label_column=meta["label_column"],
-    )
+    return Checkpoint(model=model, vocab=vocab, lexicon=lexicon,
+                      label_names=label_names, **schema)

@@ -9,6 +9,7 @@ import configparser
 import os
 from dataclasses import dataclass
 
+from .data import MAX_SEQ_LEN
 from .errors import ConfigError
 from .model import SCALE_MODES, ModelConfig
 from .train import TrainConfig
@@ -58,7 +59,7 @@ class RunConfig:
     num_experts: int = 4
     dropout: float = 0.1
     attention_scale: str = "dim"
-    max_seq_len: int = 128
+    max_seq_len: int = MAX_SEQ_LEN
     # [train]
     learning_rate: float = 1e-3
     batch_size: int = 512

@@ -9,6 +9,14 @@ sequence to fixed-size vectors; each task mixes the experts with its own
 softmax gate and applies its own affine head. No residual connections or
 layer normalization anywhere.
 
+Each expert holds one (model_dim, model_dim) matrix for each of the query,
+key and value projections. Head h owns column block h, that is columns
+h * head_dim to (h + 1) * head_dim with head_dim = model_dim // num_heads,
+and each block is drawn as its own Xavier-uniform (model_dim, head_dim)
+matrix. All heads are projected by one matmul and attend as one batch of
+shape (batch, num_heads, seq_len, head_dim); the head outputs are merged
+back in head order before the output projection ``wo``.
+
 Ops accept a single sequence (seq_len, model_dim) or a batch
 (batch, seq_len, model_dim); masks carry True for real positions.
 """
@@ -20,9 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PAD_ID, TASK_IDS, EmbeddingTable
+from .data import MAX_SEQ_LEN, PAD_ID, TASK_IDS, EmbeddingTable
 from .errors import ConfigError, UsageError
-from .tensor import (
+# mul and slice_last are unused here, but perfbench/spans.py wraps tensor
+# ops by the names this module imports and looks both up, so they stay.
+from .tensor import (  # noqa: F401
     MASK_FILL,
     Tensor,
     add,
@@ -39,6 +49,7 @@ from .tensor import (
     scale,
     slice_last,
     softmax,
+    swap_axes,
     transpose_last,
 )
 
@@ -61,7 +72,7 @@ class ModelConfig:
     dropout: float = 0.1
     attention_scale: str = "dim"
     use_gate: bool = True
-    max_seq_len: int = 128
+    max_seq_len: int = MAX_SEQ_LEN
 
     @property
     def model_dim(self) -> int:
@@ -107,10 +118,14 @@ class _Init:
         self.rng = rng
         self.dtype = dtype
 
-    def weight(self, fan_in: int, fan_out: int) -> Tensor:
+    def weight(self, fan_in: int, fan_out: int, blocks: int = 1) -> Tensor:
+        """(fan_in, blocks * fan_out); each column block is drawn in turn
+        as its own Xavier-uniform (fan_in, fan_out) matrix."""
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        w = self.rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        return Tensor(w.astype(self.dtype), requires_grad=True)
+        w = self.rng.uniform(-limit, limit, size=(blocks, fan_in, fan_out))
+        # Cast and lay the blocks side by side in a single copy.
+        w = w.transpose(1, 0, 2).astype(self.dtype, order="C")
+        return Tensor(w.reshape(fan_in, blocks * fan_out), requires_grad=True)
 
     def bias(self, dim: int) -> Tensor:
         return Tensor(np.zeros(dim, dtype=self.dtype), requires_grad=True)
@@ -118,10 +133,11 @@ class _Init:
 
 class ExpertUnit:
     def __init__(self, cfg: ModelConfig, init: _Init):
-        d, head_dim = cfg.model_dim, cfg.model_dim // cfg.num_heads
-        self.wq = [init.weight(d, head_dim) for _ in range(cfg.num_heads)]
-        self.wk = [init.weight(d, head_dim) for _ in range(cfg.num_heads)]
-        self.wv = [init.weight(d, head_dim) for _ in range(cfg.num_heads)]
+        d, heads = cfg.model_dim, cfg.num_heads
+        self.num_heads = heads
+        self.wq = init.weight(d, d // heads, heads)
+        self.wk = init.weight(d, d // heads, heads)
+        self.wv = init.weight(d, d // heads, heads)
         self.wo = init.weight(d, d)
         self.w1 = init.weight(d, cfg.ff1_dim)
         self.b1 = init.bias(cfg.ff1_dim)
@@ -131,16 +147,11 @@ class ExpertUnit:
         self.b2b = init.bias(cfg.ff2_out)
 
     def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = []
-        for h in range(len(self.wq)):
-            out += [(f"{prefix}.h{h}.wq", self.wq[h]),
-                    (f"{prefix}.h{h}.wk", self.wk[h]),
-                    (f"{prefix}.h{h}.wv", self.wv[h])]
-        out += [(f"{prefix}.wo", self.wo),
+        return [(f"{prefix}.wq", self.wq), (f"{prefix}.wk", self.wk),
+                (f"{prefix}.wv", self.wv), (f"{prefix}.wo", self.wo),
                 (f"{prefix}.w1", self.w1), (f"{prefix}.b1", self.b1),
                 (f"{prefix}.w2a", self.w2a), (f"{prefix}.b2a", self.b2a),
                 (f"{prefix}.w2b", self.w2b), (f"{prefix}.b2b", self.b2b)]
-        return out
 
 
 # ------------------------------------------------------------- forward ops
@@ -155,6 +166,11 @@ def embed_with_markers(token_ids: np.ndarray, marker_bits: np.ndarray,
         raise UsageError(
             f"ids shape {token_ids.shape} != marker bits shape {marker_bits.shape}"
         )
+    for what, arr, rows in (("token ids", token_ids, table.shape[0]),
+                            ("marker bits", marker_bits, markers.shape[0])):
+        if arr.size and (arr.min() < 0 or arr.max() >= rows):
+            raise UsageError(f"{what} must lie in [0, {rows}), got "
+                             f"{arr.min()}..{arr.max()}")
     words = embedding_lookup(table, token_ids, pad_id=PAD_ID)
     marks = embedding_lookup(markers, marker_bits)
     return concat_last([words, marks])
@@ -185,10 +201,12 @@ def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
     if single:
         x = reshape(x, (1, *x.shape))
         mask = np.asarray(mask)[None]
-    heads = [attention(matmul(x, wq), matmul(x, wk), matmul(x, wv),
-                       scale_mode, mask)
-             for wq, wk, wv in zip(unit.wq, unit.wk, unit.wv)]
-    h = matmul(concat_last(heads), unit.wo)            # (b, s, model_dim)
+    b, s, d = x.shape
+    split = (b, s, unit.num_heads, d // unit.num_heads)
+    q, k, v = (swap_axes(reshape(matmul(x, w), split), 1, 2)  # (b, H, s, d/H)
+               for w in (unit.wq, unit.wk, unit.wv))
+    att = attention(q, k, v, scale_mode, mask[:, None])
+    h = matmul(reshape(swap_axes(att, 1, 2), (b, s, d)), unit.wo)
     h = dropout(h, dropout_rate, training, rng)
     h = relu(add(matmul(h, unit.w1), unit.b1))         # (b, s, ff1)
     h = dropout(h, dropout_rate, training, rng)
@@ -258,6 +276,12 @@ class MoeClassifier:
         """list of (token_ids, marker_bits, ...) -> ids, bits, mask arrays."""
         if not batch:
             raise UsageError("forward needs a non-empty batch")
+        for ex in batch:
+            if len(ex[0]) != len(ex[1]):
+                raise UsageError(f"{len(ex[0])} token ids but {len(ex[1])} marker bits")
+            if len(ex[0]) > self.cfg.max_seq_len:
+                raise UsageError(f"sequence of {len(ex[0])} tokens exceeds "
+                                 f"max_seq_len {self.cfg.max_seq_len}")
         width = max(len(ex[0]) for ex in batch)
         ids = np.full((len(batch), width), PAD_ID, dtype=np.int64)
         bits = np.zeros((len(batch), width), dtype=np.int64)
@@ -279,17 +303,12 @@ class MoeClassifier:
         outs = [expert_forward(unit, x, mask, training, cfg.dropout, rng,
                                cfg.attention_scale)
                 for unit in self.experts]
+        n, e, f = len(batch), cfg.num_experts, cfg.ff2_out
         if cfg.use_gate:
-            gw = gate_weights(self.gates[k], x, mask)  # (b, experts)
-            mixed = None
-            for i, f in enumerate(outs):
-                term = mul(slice_last(gw, i, i + 1), f)
-                mixed = term if mixed is None else add(mixed, term)
+            gw = reshape(gate_weights(self.gates[k], x, mask), (n, 1, e))
         else:
-            total = outs[0]
-            for f in outs[1:]:
-                total = add(total, f)
-            mixed = scale(total, 1.0 / cfg.num_experts)
+            gw = Tensor(np.full((n, 1, e), 1.0 / e, dtype=x.dtype))
+        mixed = reshape(matmul(gw, reshape(concat_last(outs), (n, e, f))), (n, f))
         w, b = self.heads[k]
         return add(matmul(mixed, w), b)
 

@@ -155,31 +155,45 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------- linear ops
 
 
+def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w. With a 2-d w this is one GEMM over all leading rows of x:
+    numpy would run one small GEMM per leading index and, once w outgrows
+    the cache, stream w from memory for every one of them."""
+    if w.ndim == 2 and x.ndim > 2:
+        return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+    return x @ w
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., m, k) @ (..., k, n) -> (..., m, n); leading axes may broadcast."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    out = _mm(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, _reduce_leading(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            _accum(a, _reduce_leading(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
             _accum(b, _reduce_leading(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _from_op(out, (a, b), backward)
 
 
-def transpose_last(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    out = np.swapaxes(x.data, -1, -2)
+def swap_axes(x: Tensor, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes (a view of x's data)."""
+    out = np.swapaxes(x.data, axis1, axis2)
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, np.swapaxes(g, -1, -2))
+        _accum(x, np.swapaxes(g, axis1, axis2))
 
     return _from_op(out, (x,), backward)
+
+
+def transpose_last(x: Tensor) -> Tensor:
+    """Swap the last two axes."""
+    return swap_axes(x, -1, -2)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -315,9 +329,11 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Row softmax over the last axis, max-subtracted for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    # In place, so only one array of x's size is allocated: attention
+    # scores are the largest arrays a forward makes.
+    out = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
         # dx = y * (g - sum(g * y))

@@ -1,5 +1,7 @@
 """Checkpoint save/load: bit-exact round trips and format guards."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -64,15 +66,63 @@ def test_rejects_foreign_npz(tmp_path):
         load_checkpoint(str(path))
 
 
-def test_rejects_unknown_version(tmp_path):
-    import json
-    model, vocab, lexicon, names = build()
-    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+def read_archive(path):
     with np.load(path, allow_pickle=False) as z:
-        payload = {k: z[k] for k in z.files}
+        return {k: z[k] for k in z.files}
+
+
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to the archive's meta dict and save it back."""
+    payload = read_archive(path)
     meta = json.loads(str(payload["meta"][()]))
-    meta["version"] = 99
+    edit(meta)
     payload["meta"] = np.asarray(json.dumps(meta))
     np.savez(path, **payload)
+
+
+def test_rejects_unknown_version(tmp_path):
+    model, vocab, lexicon, names = build()
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    rewrite_meta(path, lambda meta: meta.update(version=99))
     with pytest.raises(UsageError, match="version"):
         load_checkpoint(str(path))
+
+
+def test_loads_format_1_per_head_archive(tmp_path):
+    # Format 1 stored expert{e}.h{h}.w{q,k,v} of shape (model_dim, head_dim).
+    model, vocab, lexicon, names = build(seed=3)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    payload = read_archive(path)
+    heads, d = model.cfg.num_heads, model.cfg.model_dim
+    dh = d // heads
+    for e in range(model.cfg.num_experts):
+        for w in ("wq", "wk", "wv"):
+            full = payload.pop(f"param/expert{e}.{w}")
+            for h in range(heads):
+                payload[f"param/expert{e}.h{h}.{w}"] = full[:, h * dh:(h + 1) * dh]
+    np.savez(path, **payload)
+    rewrite_meta(path, lambda meta: meta.update(version=1))
+
+    ckpt = load_checkpoint(path)
+    batch = [([2, 3, 4], [1, 0, 0]), ([5, 6], [0, 1])]
+    for task in (SENTIMENT, DEPRESSION):
+        np.testing.assert_array_equal(ckpt.model.forward(batch, task).data,
+                                      model.forward(batch, task).data)
+
+
+def test_corrupt_meta_is_usage_error(tmp_path):
+    model, vocab, lexicon, names = build()
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    payload = read_archive(path)
+    payload["meta"] = np.asarray('{"version": 2, "config": {')
+    np.savez(path, **payload)
+    with pytest.raises(UsageError, match="corrupt"):
+        load_checkpoint(path)
+
+
+def test_incomplete_meta_is_usage_error(tmp_path):
+    model, vocab, lexicon, names = build()
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    rewrite_meta(path, lambda meta: meta.pop("vocab"))
+    with pytest.raises(UsageError, match="incomplete.*vocab"):
+        load_checkpoint(path)

@@ -6,6 +6,7 @@ import io
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from textmoe.cli import main
@@ -147,6 +148,17 @@ def test_missing_checkpoint_exits_1(tmp_path, capsys):
     code = main(["eval", str(tmp_path / "no.npz"), str(tmp_path / "no.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_corrupt_checkpoint_exits_2(workspace, tmp_path, capsys, monkeypatch):
+    with np.load(workspace["out"] / "model.npz", allow_pickle=False) as z:
+        payload = {k: z[k] for k in z.files}
+    payload["meta"] = np.asarray("{not json")
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **payload)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("w1 w2\n"))
+    assert main(["predict", str(bad)]) == 2
+    assert "corrupt checkpoint meta" in capsys.readouterr().err
 
 
 def test_unknown_label_in_dataset_exits_1(workspace, tmp_path, capsys):

@@ -21,7 +21,16 @@ from textmoe import (
 )
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
 from textmoe.model import SCALE_MODES, ExpertUnit, _Init
-from textmoe.tensor import sum_all
+from textmoe.tensor import (
+    add,
+    concat_last,
+    masked_max,
+    masked_mean,
+    matmul,
+    relu,
+    slice_last,
+    sum_all,
+)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -95,6 +104,36 @@ def test_embed_with_markers_length_mismatch():
     markers = Tensor(np.zeros((2, 2)))
     with pytest.raises(UsageError):
         embed_with_markers(np.array([1, 2]), np.array([0]), table, markers)
+
+
+def test_forward_rejects_token_id_outside_vocabulary():
+    # -1 would silently read the last embedding row; vocab_size would
+    # raise a bare IndexError.
+    model = tiny_model()
+    for bad in (-1, model.cfg.vocab_size):
+        with pytest.raises(UsageError, match="token ids"):
+            model.forward([([2, bad], [0, 0])], SENTIMENT)
+
+
+def test_forward_rejects_marker_bit_outside_0_1():
+    model = tiny_model()
+    for bad in (-1, 2):
+        with pytest.raises(UsageError, match="marker bits"):
+            model.forward([([2, 3], [0, bad])], SENTIMENT)
+
+
+def test_pad_batch_rejects_sequence_longer_than_max_seq_len():
+    model = tiny_model(max_seq_len=4)
+    model.pad_batch([([2] * 4, [0] * 4)])
+    with pytest.raises(UsageError, match="max_seq_len 4"):
+        model.pad_batch([([2] * 4, [0] * 4), ([2] * 6, [0] * 6)])
+
+
+def test_pad_batch_rejects_ids_and_bits_of_different_lengths():
+    # A single bit would otherwise broadcast across the whole row.
+    model = tiny_model()
+    with pytest.raises(UsageError, match="marker bits"):
+        model.pad_batch([([2, 3, 4], [1])])
 
 
 # ---------------------------------------------------------------- attention
@@ -195,6 +234,51 @@ def test_expert_forward_shapes_and_single_sequence():
     np.testing.assert_allclose(single.data, batched.data[1], atol=1e-5)
 
 
+def _per_head_expert(unit, x, mask, scale_mode):
+    """Reference expert: each head projected by its own column block."""
+    d = x.shape[-1]
+    dh = d // unit.num_heads
+    heads = []
+    for h in range(unit.num_heads):
+        q, k, v = (matmul(x, slice_last(w, h * dh, (h + 1) * dh))
+                   for w in (unit.wq, unit.wk, unit.wv))
+        heads.append(attention(q, k, v, scale_mode, mask))
+    y = relu(add(matmul(matmul(concat_last(heads), unit.wo), unit.w1), unit.b1))
+    pooled = concat_last([masked_max(y, mask), masked_mean(y, mask)])
+    z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
+    return add(matmul(z, unit.w2b), unit.b2b)
+
+
+@pytest.mark.parametrize("mode", SCALE_MODES)
+def test_batched_heads_match_per_head_reference(mode):
+    cfg = tiny_config(word_dim=9, marker_dim=3, num_heads=3)
+    unit = ExpertUnit(cfg, _Init(np.random.default_rng(31), np.float64))
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.normal(size=(3, 5, cfg.model_dim)), dtype=np.float64)
+    mask = np.array([[True] * 5, [True, True, True, False, False],
+                     [True, False, False, False, False]])
+    got = expert_forward(unit, x, mask, scale_mode=mode)
+    want = _per_head_expert(unit, x, mask, mode)
+    assert np.abs(got.data - want.data).max() < 1e-6
+
+
+def test_head_blocks_match_per_head_draws():
+    # Column block h of each projection is the matrix that drawing one
+    # (model_dim, head_dim) weight per head, in order, would give.
+    cfg = tiny_config(word_dim=9, marker_dim=3, num_heads=3)
+    unit = ExpertUnit(cfg, _Init(np.random.default_rng(33), np.float32))
+    rng = np.random.default_rng(33)
+    d, dh = cfg.model_dim, cfg.model_dim // cfg.num_heads
+    limit = math.sqrt(6.0 / (d + dh))
+    for w in (unit.wq, unit.wk, unit.wv):
+        for h in range(cfg.num_heads):
+            draw = rng.uniform(-limit, limit, size=(d, dh)).astype(np.float32)
+            np.testing.assert_array_equal(w.data[:, h * dh:(h + 1) * dh], draw)
+    limit = math.sqrt(6.0 / (2 * d))
+    np.testing.assert_array_equal(
+        unit.wo.data, rng.uniform(-limit, limit, size=(d, d)).astype(np.float32))
+
+
 def test_expert_forward_ignores_padding_rows():
     cfg = tiny_config()
     unit = ExpertUnit(cfg, _Init(np.random.default_rng(7), np.float32))
@@ -233,6 +317,28 @@ def test_gate_weights_single_expert_is_one():
 
 
 # ------------------------------------------------------------ assembled model
+
+
+@pytest.mark.parametrize("use_gate", [True, False])
+def test_forward_mixes_experts_by_gate_weights(use_gate):
+    cfg = tiny_config(num_experts=3, use_gate=use_gate)
+    rng = np.random.default_rng(34)
+    vocab = Vocabulary.from_tokens(f"t{i}" for i in range(cfg.vocab_size - 2))
+    emb = EmbeddingTable.random(vocab, cfg.word_dim, rng, dtype=np.float64)
+    model = MoeClassifier(cfg, emb, rng, dtype=np.float64)
+    batch = example_batch(np.random.default_rng(35), 4)
+    ids, bits, mask = model.pad_batch(batch)
+    x = embed_with_markers(ids, bits, model.embedding.matrix, model.markers)
+    outs = [expert_forward(u, x, mask).data for u in model.experts]
+    if use_gate:
+        gw = gate_weights(model.gates[1], x, mask).data
+    else:
+        gw = np.full((len(batch), 3), 1.0 / 3)
+    mixed = sum(gw[:, e:e + 1] * outs[e] for e in range(3))
+    w, b = model.heads[1]
+    want = mixed @ w.data + b.data
+    got = model.forward(batch, DEPRESSION).data
+    assert np.abs(got - want).max() < 1e-9
 
 
 def test_forward_logit_shapes_per_task():
@@ -333,11 +439,13 @@ def test_named_parameters_inventory():
     model = tiny_model()
     names = [n for n, _ in model.named_parameters()]
     assert len(names) == len(set(names))
-    per_expert = 3 * cfg.num_heads + 7
+    per_expert = 10
     expected = 2 + cfg.num_experts * per_expert + cfg.num_tasks + 2 * cfg.num_tasks
     assert len(names) == expected
     assert names[0] == "embedding" and names[1] == "markers"
-    assert "expert0.h0.wq" in names and "gate1" in names and "head1.b" in names
+    assert "expert0.wq" in names and "gate1" in names and "head1.b" in names
+    d = cfg.model_dim
+    assert dict(model.named_parameters())["expert1.wv"].shape == (d, d)
 
 
 def test_predict_returns_argmax_classes():
@@ -383,7 +491,7 @@ def test_whole_model_gradients(gradcheck):
     model = MoeClassifier(cfg, emb, rng, dtype=np.float64)
     batch = [([2, 3, 4], [0, 1, 0]), ([5, 6], [1, 0])]
 
-    params = [model.markers, model.gates[1], model.experts[0].wo,
-              model.heads[1][0]]
+    params = [model.markers, model.gates[1], model.experts[0].wq,
+              model.experts[0].wo, model.heads[1][0]]
     gradcheck(lambda: sum_all(model.forward(batch, DEPRESSION)), params,
               tol=1e-4)

@@ -26,6 +26,7 @@ from textmoe.tensor import (
     slice_last,
     softmax,
     sum_all,
+    swap_axes,
     transpose_last,
 )
 from conftest import rand_tensor
@@ -94,13 +95,17 @@ def test_matmul_matches_triple_loop():
 
 
 def test_matmul_batched_broadcast():
+    # A 2-d right operand is multiplied as one GEMM over all leading rows;
+    # compare every leading index with the loop reference, including a
+    # 4-d and a non-contiguous left operand.
     rng = np.random.default_rng(2)
-    a = rng.normal(size=(3, 4, 2))
     b = rng.normal(size=(2, 5))
-    got = matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
-    assert got.shape == (3, 4, 5)
-    for i in range(3):
-        assert np.abs(got.data[i] - _loop_matmul(a[i], b)).max() < 1e-12
+    for a in (rng.normal(size=(3, 4, 2)), rng.normal(size=(2, 3, 4, 2)),
+              np.swapaxes(rng.normal(size=(4, 3, 2)), 0, 1)):
+        got = matmul(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
+        assert got.shape == a.shape[:-1] + (5,)
+        for idx in np.ndindex(a.shape[:-2]):
+            assert np.abs(got.data[idx] - _loop_matmul(a[idx], b)).max() < 1e-12
 
 
 def test_matmul_shape_errors():
@@ -189,7 +194,8 @@ def test_grad_transpose_reshape_concat_slice(gradcheck):
         t = transpose_last(a)                       # (3, 2)
         r = reshape(t, (2, 3))
         c = concat_last([r, b])                     # (2, 5)
-        s = slice_last(c, 1, 4)
+        w = swap_axes(reshape(c, (1, 2, 5)), 0, 2)  # (5, 2, 1)
+        s = slice_last(reshape(w, (2, 5)), 1, 4)
         return sum_all(mul(s, s))
 
     gradcheck(build, [a, b])
