@@ -99,7 +99,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise UsageError(f"{path}: incomplete checkpoint: {type(e).__name__}: {e}") from None
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tuple(tokens))
     emb = EmbeddingTable(Tensor(embedding, requires_grad=True), cfg.word_dim)
-    model = MoeClassifier(cfg, emb, np.random.default_rng(0), dtype=embedding.dtype)
-    model.load_state_arrays(arrays)
+    # The archive holds every weight: draw none, and adopt its arrays uncopied.
+    model = MoeClassifier(cfg, emb, None, dtype=embedding.dtype)
+    model.load_state_arrays(arrays, copy=False)
     return Checkpoint(model=model, vocab=vocab, lexicon=lexicon,
                       label_names=label_names, **schema)

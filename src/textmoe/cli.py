@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -40,11 +41,13 @@ from .data import (
 from .errors import ConfigError, DataError, Error, UsageError
 from .lexicon import DEFAULT_MARKER_EMOTIONS, load_nrc_lexicon, load_plain_lexicon
 from .metrics import evaluate, metrics_table, report_record
+from .model import ModelConfig
 from .tensor import softmax
-from .train import fit
+from .train import TrainConfig, fit
 
 CONFIG_EXIT = 2
 ERROR_EXIT = 1
+PREDICT_CHUNK_LINES = 256  # as evaluate's default batch size
 
 
 def _load_lexicon(cfg: RunConfig):
@@ -74,7 +77,7 @@ def load_bundle(cfg: RunConfig) -> DataBundle:
     def load(path: str, task_id: str):
         return load_csv_dataset(path, task_id, cfg.text_column, cfg.label_column,
                                 cfg.label_map, lexicon, vocab, cfg.language,
-                                cfg.max_seq_len)
+                                cfg.model.max_seq_len)
 
     return DataBundle(
         sentiment=load(cfg.sentiment_csv, SENTIMENT) if cfg.sentiment_csv else None,
@@ -91,9 +94,9 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
     for attr in ("seed", "max_epochs", "batch_size", "learning_rate"):
         value = getattr(args, attr, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg.train, attr, value)
     if getattr(args, "ratio", None) is not None:
-        cfg.ratio = parse_ratio(args.ratio)
+        cfg.train.ratio = parse_ratio(args.ratio)
     cfg.validate()
 
 
@@ -117,7 +120,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                                 cfg.language, cfg.text_column, cfg.label_column)
     with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(report.log_lines()) + "\n")
-    final = evaluate(model, bundle.eval_set, DEPRESSION, cfg.batch_size)
+    final = evaluate(model, bundle.eval_set, DEPRESSION, cfg.train.batch_size)
     record = report_record(final)
     with open(os.path.join(out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
         fh.write(record)
@@ -150,16 +153,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigError(f"task {args.task!r} not in checkpoint "
                           f"(has: {sorted(ckpt.label_names)})")
     names = ckpt.label_names[args.task]
-    lines = [line.rstrip("\n") for line in sys.stdin]
-    if not lines:
-        return 0
-    batch = [encode_text(line, ckpt.vocab, ckpt.lexicon, ckpt.language,
-                         ckpt.model.cfg.max_seq_len) for line in lines]
-    logits = ckpt.model.forward(batch, args.task, training=False)
-    probs = softmax(logits).data
-    for row in probs:
-        best = int(np.argmax(row))
-        print(f"{names[best]}\t{row[best]:.6f}")
+    lines = (line.rstrip("\n") for line in sys.stdin)
+    # One forward per chunk bounds memory by the chunk, not by the input.
+    while chunk := list(itertools.islice(lines, PREDICT_CHUNK_LINES)):
+        batch = [encode_text(line, ckpt.vocab, ckpt.lexicon, ckpt.language,
+                             ckpt.model.cfg.max_seq_len) for line in chunk]
+        logits = ckpt.model.forward(batch, args.task, training=False)
+        for row in softmax(logits).data:
+            best = int(np.argmax(row))
+            print(f"{names[best]}\t{row[best]:.6f}")
     return 0
 
 
@@ -233,10 +235,11 @@ def cmd_init(args: argparse.Namespace) -> int:
                 fh.write(f"{token} {values}\n")
 
     cfg = RunConfig(
-        word_dim=word_dim, marker_dim=8, num_heads=2, ff1_dim=32,
-        ff2_hidden=16, ff2_out=16, num_experts=2, dropout=0.1,
-        learning_rate=1e-3, batch_size=32, max_epochs=6, ratio=(1, 1),
-        seed=args.seed,
+        model=ModelConfig(vocab_size=0, word_dim=word_dim, marker_dim=8, num_heads=2,
+                          ff1_dim=32, ff2_hidden=16, ff2_out=16, num_experts=2,
+                          dropout=0.1),
+        train=TrainConfig(learning_rate=1e-3, batch_size=32, max_epochs=6,
+                          ratio=(1, 1), seed=args.seed),
         sentiment_csv="sentiment.csv", depression_csv="depression.csv",
         depression_test_csv="depression_test.csv", lexicon_path="lexicon.txt",
         embeddings_path="embeddings.txt", output_dir="run",

@@ -113,9 +113,12 @@ def load_glove(path: str, vocab: Vocabulary, dim: int, rng: np.random.Generator,
             if idx is None:
                 continue
             try:
-                found[idx] = np.asarray([float(v) for v in values], dtype=dtype)
+                vector = np.asarray([float(v) for v in values], dtype=dtype)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: non-numeric value") from e
+            if not np.isfinite(vector).all():
+                raise ParseError(f"{path}:{lineno}: non-finite value")
+            found[idx] = vector
     m = np.empty((len(vocab), dim), dtype=dtype)
     for idx in range(len(vocab)):
         if idx in found:

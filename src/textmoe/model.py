@@ -114,13 +114,17 @@ class ModelConfig:
 class _Init:
     """Xavier-uniform weights, zero biases, one rng stream."""
 
-    def __init__(self, rng: np.random.Generator, dtype):
+    def __init__(self, rng: np.random.Generator | None, dtype):
         self.rng = rng
         self.dtype = dtype
 
     def weight(self, fan_in: int, fan_out: int, blocks: int = 1) -> Tensor:
         """(fan_in, blocks * fan_out); each column block is drawn in turn
-        as its own Xavier-uniform (fan_in, fan_out) matrix."""
+        as its own Xavier-uniform (fan_in, fan_out) matrix. With no rng the
+        weight is left uninitialised, for a saved state to replace."""
+        if self.rng is None:
+            return Tensor(np.empty((fan_in, blocks * fan_out), dtype=self.dtype),
+                          requires_grad=True)
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = self.rng.uniform(-limit, limit, size=(blocks, fan_in, fan_out))
         # Cast and lay the blocks side by side in a single copy.
@@ -232,7 +236,9 @@ def gate_weights(w_gn: Tensor, x: Tensor, mask: np.ndarray) -> Tensor:
 
 class MoeClassifier:
     def __init__(self, cfg: ModelConfig, embedding: EmbeddingTable,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator | None, dtype=np.float32):
+        """With rng None every weight but the embedding is left
+        uninitialised, for load_state_arrays to replace."""
         cfg.validate()
         if embedding.matrix.shape != (cfg.vocab_size, cfg.word_dim):
             raise ConfigError(
@@ -242,11 +248,7 @@ class MoeClassifier:
         self.cfg = cfg
         self.embedding = embedding
         init = _Init(rng, dtype)
-        limit = math.sqrt(6.0 / (2 + cfg.marker_dim))
-        self.markers = Tensor(
-            rng.uniform(-limit, limit, size=(2, cfg.marker_dim)).astype(dtype),
-            requires_grad=True,
-        )
+        self.markers = init.weight(2, cfg.marker_dim)
         self.experts = [ExpertUnit(cfg, init) for _ in range(cfg.num_experts)]
         # Gates are created even when use_gate is off so that the init
         # stream, and with it every other parameter, matches the gated model.
@@ -320,7 +322,9 @@ class MoeClassifier:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_parameters()}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+    def load_state_arrays(self, arrays: dict[str, np.ndarray], copy: bool = True) -> None:
+        """Take every parameter from ``arrays``. With copy False, an array
+        of the parameter's dtype becomes the parameter itself."""
         for name, t in self.named_parameters():
             if name not in arrays:
                 raise UsageError(f"missing parameter {name!r} in state")
@@ -328,4 +332,4 @@ class MoeClassifier:
                 raise UsageError(
                     f"parameter {name!r}: shape {arrays[name].shape} != {t.data.shape}"
                 )
-            t.data = arrays[name].astype(t.data.dtype, copy=True)
+            t.data = arrays[name].astype(t.data.dtype, copy=copy)

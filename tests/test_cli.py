@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from textmoe.cli import main
+from textmoe.checkpoint import load_checkpoint
+from textmoe.cli import PREDICT_CHUNK_LINES, main
 from textmoe.metrics import parse_record
 
 
@@ -91,6 +92,24 @@ def test_predict_labels_stdin(workspace, capsys, monkeypatch):
         assert 0.0 < float(prob) <= 1.0
 
 
+def test_predict_chunks_match_one_line_calls(workspace, capsys, monkeypatch):
+    model = str(workspace["out"] / "model.npz")
+    words = load_checkpoint(model).vocab.id_to_token[2:]
+    rng = np.random.default_rng(0)
+    lines = [" ".join(rng.choice(words, size=rng.integers(1, 20)))
+             for _ in range(PREDICT_CHUNK_LINES + 3)]
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["predict", model]) == 0
+    bulk = capsys.readouterr().out.splitlines()
+    assert len(bulk) == len(lines)
+    for line, row in zip(lines, bulk):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+        assert main(["predict", model]) == 0
+        label, prob = capsys.readouterr().out.rstrip("\n").split("\t")
+        assert row.split("\t")[0] == label
+        assert abs(float(row.split("\t")[1]) - float(prob)) <= 1e-5
+
+
 def test_predict_empty_stdin(workspace, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     assert main(["predict", str(workspace["out"] / "model.npz")]) == 0
@@ -159,6 +178,17 @@ def test_corrupt_checkpoint_exits_2(workspace, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("w1 w2\n"))
     assert main(["predict", str(bad)]) == 2
     assert "corrupt checkpoint meta" in capsys.readouterr().err
+
+
+def test_non_finite_embedding_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["init", str(data), "--n-per-task", "40", "--vocab-size", "30"]) == 0
+    vectors = data / "embeddings.txt"
+    rows = [line.split(" ", 2) for line in vectors.read_text(encoding="utf-8").splitlines()]
+    vectors.write_text("".join(f"{token} nan {rest}\n" for token, _, rest in rows),
+                       encoding="utf-8")
+    assert main(["train", str(data / "config.ini"), "--out", str(tmp_path / "out")]) == 1
+    assert "embeddings.txt:1: non-finite value" in capsys.readouterr().err
 
 
 def test_unknown_label_in_dataset_exits_1(workspace, tmp_path, capsys):

@@ -2,11 +2,21 @@
 output-directory precedence chain.
 """
 
+import configparser
 import os
+from dataclasses import replace
 
 import pytest
 
-from textmoe import ConfigError, RunConfig, load_run_config, parse_ratio, write_run_config
+from textmoe import (
+    ConfigError,
+    ModelConfig,
+    RunConfig,
+    TrainConfig,
+    load_run_config,
+    parse_ratio,
+    write_run_config,
+)
 from textmoe.config import ENV_OUTPUT_DIR, parse_labels, resolve_output_dir
 
 
@@ -48,13 +58,13 @@ def _base_ini(tmp_path, extra=""):
 def test_load_run_config(tmp_path):
     _scaffold(tmp_path)
     cfg = load_run_config(_base_ini(tmp_path))
-    assert cfg.word_dim == 8
-    assert cfg.ratio == (3, 1)
+    assert cfg.model.word_dim == 8
+    assert cfg.train.ratio == (3, 1)
     assert cfg.seed == 42
     assert cfg.labels == (("neg", 0), ("pos", 1))
     assert cfg.depression_csv == str(tmp_path / "dep.csv")  # resolved
     assert cfg.output_dir == str(tmp_path / "out")
-    assert cfg.learning_rate == 1e-3  # untouched default
+    assert cfg.train.learning_rate == 1e-3  # untouched default
 
 
 def test_model_and_train_config_derivation(tmp_path):
@@ -122,7 +132,7 @@ def test_validate_requires_core_paths(tmp_path):
     cfg.sentiment_csv = ""
     with pytest.raises(ConfigError, match="sentiment_csv"):
         cfg.validate()  # ratio keeps a nonzero sentiment component
-    cfg.ratio = (0, 1)
+    cfg.train.ratio = (0, 1)
     cfg.validate()
 
 
@@ -150,10 +160,51 @@ def test_write_then_load_round_trip(tmp_path):
     _scaffold(tmp_path)
     cfg = load_run_config(_base_ini(tmp_path))
     cfg.nrc_emotions = ("sadness", "fear")
+    cfg.model = replace(cfg.model, ff1_dim=7, ff2_hidden=5, ff2_out=3, num_experts=3,
+                        dropout=0.25, attention_scale="sqrt_dim", max_seq_len=64)
+    cfg.train = replace(cfg.train, learning_rate=0.02, lambda_l2=0.0, max_epochs=4,
+                        lr_decay_factor=0.25, lr_patience=3, early_stop_patience=7,
+                        validation_fraction=0.2)
     out = tmp_path / "copy.ini"
     write_run_config(cfg, str(out))
+    written = configparser.ConfigParser()
+    written.read(out, encoding="utf-8")
+    default = RunConfig()
+    for section in ("model", "train"):
+        for key in written[section]:
+            assert getattr(getattr(cfg, section), key) != \
+                getattr(getattr(default, section), key), key
     back = load_run_config(str(out))
     assert back == cfg
+
+
+def test_defaults_are_the_dataclass_defaults():
+    assert RunConfig().model_config(57) == ModelConfig(vocab_size=57)
+    assert RunConfig().train_config() == TrainConfig()
+
+
+def _edited_ini(tmp_path, old, new):
+    ini = tmp_path / "run.ini"
+    _base_ini(tmp_path)
+    text = ini.read_text(encoding="utf-8")
+    assert old in text
+    ini.write_text(text.replace(old, new), encoding="utf-8")
+    return str(ini)
+
+
+@pytest.mark.parametrize("line", ["vocab_size = 10", "classes_per_task = 2",
+                                  "use_gate = False"])
+def test_data_decided_model_fields_are_not_keys(tmp_path, line):
+    _scaffold(tmp_path)
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_run_config(_edited_ini(tmp_path, "[model]\n", f"[model]\n{line}\n"))
+
+
+def test_model_config_is_validated_on_load(tmp_path):
+    _scaffold(tmp_path)
+    ini = _edited_ini(tmp_path, "num_heads = 2", "num_heads = 5")  # model_dim is 12
+    with pytest.raises(ConfigError, match="not divisible by num_heads 5"):
+        load_run_config(ini)
 
 
 def test_resolve_output_dir_priority(tmp_path, monkeypatch):

@@ -140,6 +140,15 @@ def test_load_glove_dimension_error_reports_line(tmp_path):
         load_glove(str(p), v, 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_glove_non_finite_reports_line(tmp_path, value):
+    p = tmp_path / "vec.txt"
+    p.write_text(f"alpha 0.1 0.2\nbeta 0.3 {value}\n", encoding="utf-8")
+    v = Vocabulary.from_tokens(["alpha", "beta"])
+    with pytest.raises(ParseError, match=r"vec\.txt:2: non-finite"):
+        load_glove(str(p), v, 2, np.random.default_rng(0))
+
+
 def test_load_glove_non_numeric(tmp_path):
     p = tmp_path / "vec.txt"
     p.write_text("alpha 0.1 oops\n", encoding="utf-8")

@@ -469,6 +469,22 @@ def test_state_round_trip_is_bit_exact():
     np.testing.assert_array_equal(got, want)
 
 
+def test_state_adopted_without_draw_or_copy():
+    model = tiny_model(seed=26)
+    batch = example_batch(np.random.default_rng(27), 3)
+    state = model.state_arrays()
+    emb = EmbeddingTable(Tensor(state["embedding"], requires_grad=True), model.cfg.word_dim)
+    blank = MoeClassifier(model.cfg, emb, None)
+    blank.load_state_arrays(state, copy=False)
+    for name, t in blank.named_parameters():
+        assert t.data is state[name], name
+    np.testing.assert_array_equal(blank.forward(batch, SENTIMENT).data,
+                                  model.forward(batch, SENTIMENT).data)
+    model.load_state_arrays(state)
+    for name, t in model.named_parameters():
+        assert not np.shares_memory(t.data, state[name]), name
+
+
 def test_load_state_errors():
     model = tiny_model()
     state = model.state_arrays()
