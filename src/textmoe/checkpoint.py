@@ -14,7 +14,9 @@ joined into the format 2 layout.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,6 +42,21 @@ class Checkpoint:
     label_column: str
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` that replaces ``path`` once the
+    block completes. If the block raises, ``path`` keeps its old content and
+    the temporary file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_checkpoint(path: str, model: MoeClassifier, vocab: Vocabulary,
                     lexicon: Lexicon, label_names: dict[str, list[str]],
                     language: str = "english", text_column: str = "text",
@@ -59,7 +76,9 @@ def save_checkpoint(path: str, model: MoeClassifier, vocab: Vocabulary,
         "label_column": label_column,
     }
     arrays = {_PARAM + name: t.data for name, t in model.named_parameters()}
-    np.savez(path, meta=np.asarray(json.dumps(meta)), **arrays)
+    # np.savez appends ".npz" to a path without it, so it gets the open file.
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, meta=np.asarray(json.dumps(meta)), **arrays)
     return path
 
 

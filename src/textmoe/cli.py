@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .ablation import ALL_VARIANTS, DataBundle, build_model, ratio_sweep, run_ablation
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
 from .config import (
     RunConfig,
     load_run_config,
@@ -118,11 +118,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     ckpt_path = save_checkpoint(os.path.join(out_dir, "model.npz"), model,
                                 bundle.vocab, bundle.lexicon, _label_names(cfg),
                                 cfg.language, cfg.text_column, cfg.label_column)
-    with open(os.path.join(out_dir, "train_log.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "train_log.txt"), encoding="utf-8") as fh:
         fh.write("\n".join(report.log_lines()) + "\n")
     final = evaluate(model, bundle.eval_set, DEPRESSION, cfg.train.batch_size)
     record = report_record(final)
-    with open(os.path.join(out_dir, "metrics.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "metrics.txt"), encoding="utf-8") as fh:
         fh.write(record)
     print(record, end="")
     print(f"checkpoint: {ckpt_path}")

@@ -113,7 +113,9 @@ def load_glove(path: str, vocab: Vocabulary, dim: int, rng: np.random.Generator,
             if idx is None:
                 continue
             try:
-                vector = np.asarray([float(v) for v in values], dtype=dtype)
+                # A value past the dtype's range becomes inf, rejected below.
+                with np.errstate(over="ignore"):
+                    vector = np.asarray([float(v) for v in values], dtype=dtype)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: non-numeric value") from e
             if not np.isfinite(vector).all():

@@ -10,7 +10,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -33,13 +33,14 @@ class RmsProp:
         """Apply one update from the gradients stored on the parameters.
 
         Gradients are consumed: each parameter's .grad is reset to None.
+        A missing gradient counts as zero: the accumulator decays and the
+        value stays.
         """
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise UsageError(f"rmsprop step: parameter {i} has no gradient")
-            g = p.grad
-            acc = self.acc[i]
+        for p, acc in zip(self.params, self.acc):
             acc *= self.rho
+            g = p.grad
+            if g is None:
+                continue
             acc += (1.0 - self.rho) * g * g
             p.data -= self.lr * g / (np.sqrt(acc) + self.eps)
             p.grad = None

@@ -60,6 +60,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
+    # Unused by the package (a missing gradient counts as zero), but
+    # perfbench/spans.py wraps it by name, so it stays.
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
@@ -135,17 +137,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad = g if t.grad is None else t.grad + g
 
 
-def _reduce_leading(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    return g
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g down to ``shape`` (inverse of numpy broadcasting)."""
     if g.shape == shape:
         return g
-    g = _reduce_leading(g, shape)
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -174,9 +171,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, _reduce_leading(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            _accum(a, _unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
-            _accum(b, _reduce_leading(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _from_op(out, (a, b), backward)
 
@@ -350,6 +347,28 @@ def sum_all(x: Tensor) -> Tensor:
         _accum(x, np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
 
     return _from_op(out, (x,), backward)
+
+
+def l2_penalty(params: Sequence[Tensor], lam: float) -> Tensor:
+    """lam * sum over params of (p * p).sum(), as one graph node.
+
+    The squared sums are added in parameter order and scaled last, so the
+    value is bitwise that of the sum_all/mul/add/scale chain it replaces.
+    """
+    if not params:
+        raise UsageError("l2_penalty needs at least one tensor")
+    total = None
+    for p in params:
+        sq = (p.data * p.data).sum()
+        total = sq if total is None else total + sq
+    out = np.asarray(total * lam, dtype=params[0].dtype)
+
+    def backward(g: np.ndarray) -> None:
+        c = g * (2.0 * lam)
+        for p in params:
+            _accum(p, c * p.data)
+
+    return _from_op(out, tuple(params), backward)
 
 
 def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -3,9 +3,11 @@ cross-entropy + L2 loss, RMSprop, LR decay, early stopping.
 
 Each optimizer step sees one batch from one task. Per epoch the depression
 (target) task contributes all its batches; the sentiment task contributes
-round(ratio) as many, cycling through reshuffles of its data. Validation
-loss comes from a stratified split of the depression data; the best
-checkpoint is restored at the end.
+round(ratio) as many, cycling through reshuffles of its data. One pass
+per epoch over a stratified split of the depression data gives the
+validation loss and metrics; the best checkpoint is restored at the end.
+The idle task's head and gate get no gradient in a step, which the
+optimizer reads as zero.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import numpy as np
 
 from .data import DEPRESSION, SENTIMENT, TaskDataset
 from .errors import ConfigError, TrainingDiverged
-from .metrics import evaluate
+# evaluate, mul, scale and sum_all are unused here, but perfbench/spans.py
+# wraps each by its name in this module, so they stay.
+from .metrics import MetricsReport, evaluate, metrics  # noqa: F401
 from .optim import RmsProp
-from .tensor import Tensor, add, cross_entropy, mul, scale, sum_all
+from .tensor import Tensor, add, cross_entropy, l2_penalty, mul, scale, sum_all  # noqa: F401
 
 # Fixed tags give every consumer its own deterministic stream per seed.
 TAG_EMBEDDING, TAG_MODEL, TAG_SPLIT, TAG_SCHEDULE, TAG_DROPOUT = range(5)
@@ -113,13 +117,9 @@ def compute_loss(logits: Tensor, labels: np.ndarray, params=(),
                  lambda_l2: float = 0.0) -> Tensor:
     """Mean cross-entropy plus lambda * sum of squared parameters."""
     loss = cross_entropy(logits, labels)
-    if lambda_l2 > 0.0:
-        reg = None
-        for p in params:
-            term = sum_all(mul(p, p))
-            reg = term if reg is None else add(reg, term)
-        if reg is not None:
-            loss = add(loss, scale(reg, lambda_l2))
+    params = list(params)
+    if lambda_l2 > 0.0 and params:
+        loss = add(loss, l2_penalty(params, lambda_l2))
     return loss
 
 
@@ -196,15 +196,19 @@ def stratified_split(ds: TaskDataset, fraction: float,
             TaskDataset(ds.task_id, val, ds.num_classes))
 
 
-def dataset_ce(model, ds: TaskDataset, batch_size: int = 256) -> float:
-    """Mean eval-mode cross-entropy over a dataset (no L2 term)."""
+def dataset_ce(model, ds: TaskDataset,
+               batch_size: int = 256) -> tuple[float, MetricsReport]:
+    """Mean eval-mode cross-entropy over a dataset (no L2 term) and the
+    metrics of its argmax predictions, from one forward per batch."""
     total = 0.0
+    preds: list[int] = []
     for start in range(0, len(ds), batch_size):
         batch = ds.examples[start:start + batch_size]
         logits = model.forward(batch, ds.task_id, training=False)
         labels = np.array([ex.label for ex in batch])
         total += compute_loss(logits, labels).item() * len(batch)
-    return total / len(ds)
+        preds += np.argmax(logits.data, axis=1).tolist()
+    return total / len(ds), metrics(preds, ds.labels, ds.num_classes, task_id=ds.task_id)
 
 
 def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
@@ -235,8 +239,6 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
             ds = datasets[task_id]
             batch = [ds.examples[i] for i in idx]
             labels = np.array([ex.label for ex in batch])
-            for p in params:
-                p.zero_grad()
             logits = model.forward(batch, task_id, training=True, rng=drop_rng)
             loss = compute_loss(logits, labels, params, cfg.lambda_l2)
             value = loss.item()
@@ -249,13 +251,12 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
             sums[task_id] += value
             counts[task_id] += 1
 
-        val_loss = dataset_ce(model, dep_val, cfg.batch_size)
+        val_loss, val_metrics = dataset_ce(model, dep_val, cfg.batch_size)
         if stopper.update(val_loss):
             best_state = model.state_arrays()
             report.best_epoch = epoch
         elif stopper.epochs_since_improvement % cfg.lr_patience == 0:
             opt.lr *= cfg.lr_decay_factor
-        val_metrics = evaluate(model, dep_val, DEPRESSION, cfg.batch_size)
         record = EpochRecord(
             epoch=epoch,
             sentiment_loss=sums[SENTIMENT] / counts[SENTIMENT] if counts[SENTIMENT] else math.nan,

@@ -126,3 +126,24 @@ def test_incomplete_meta_is_usage_error(tmp_path):
     rewrite_meta(path, lambda meta: meta.pop("vocab"))
     with pytest.raises(UsageError, match="incomplete.*vocab"):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    model, vocab, lexicon, names = build(seed=2)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    other, *_ = build(seed=3)
+
+    def broken_savez(file, **arrays):
+        file.write(b"PK\x03\x04 partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", broken_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, other, vocab, lexicon, names)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.npz"]
+    ckpt = load_checkpoint(path)
+    for (name, a), (_, b) in zip(model.named_parameters(),
+                                 ckpt.model.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)

@@ -140,7 +140,9 @@ def test_load_glove_dimension_error_reports_line(tmp_path):
         load_glove(str(p), v, 2, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+# 1e39 overflows float32: the typed error must come without a numpy warning.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39", "-1e39"])
 def test_load_glove_non_finite_reports_line(tmp_path, value):
     p = tmp_path / "vec.txt"
     p.write_text(f"alpha 0.1 0.2\nbeta 0.3 {value}\n", encoding="utf-8")

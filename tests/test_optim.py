@@ -1,5 +1,5 @@
 """RMSprop update rule: hand-computed first step, accumulator decay,
-gradient consumption, and argument validation.
+gradient consumption, missing gradients as zero, and argument validation.
 """
 
 import math
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from textmoe import ConfigError, RmsProp, Tensor, UsageError
+from textmoe import ConfigError, RmsProp, Tensor
 
 
 def _param(values):
@@ -71,16 +71,29 @@ def test_step_consumes_gradients():
     p.grad = np.array([1.0])
     opt.step()
     assert p.grad is None
-    with pytest.raises(UsageError, match="parameter 0"):
-        opt.step()
 
 
-def test_missing_gradient_names_parameter_index():
-    a, b = _param([0.0]), _param([0.0])
-    opt = RmsProp([a, b], lr=1e-3)
-    a.grad = np.array([1.0])
-    with pytest.raises(UsageError, match="parameter 1"):
-        opt.step()
+def test_missing_gradient_counts_as_zero():
+    # Steps where b has no gradient match, bit for bit, steps where b's
+    # gradient is an explicit zero array.
+    rng = np.random.default_rng(5)
+    a_grads = rng.normal(size=(4, 3)).astype(np.float32)
+    b_grads = rng.normal(size=(4, 5)).astype(np.float32)
+    a0 = rng.normal(size=3).astype(np.float32)
+    b0 = rng.normal(size=5).astype(np.float32)
+
+    def run(missing):
+        a, b = Tensor(a0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+        opt = RmsProp([a, b], lr=1e-2)
+        for step in range(4):
+            a.grad = a_grads[step]
+            idle = step in (1, 2)
+            b.grad = None if idle and missing else b_grads[step] * (not idle)
+            opt.step()
+        return [a.data, b.data, *opt.acc]
+
+    for got, want in zip(run(missing=True), run(missing=False)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_accumulators_stay_non_negative():

@@ -15,6 +15,7 @@ from textmoe.tensor import (
     cross_entropy,
     dropout,
     embedding_lookup,
+    l2_penalty,
     masked_max,
     masked_mean,
     matmul,
@@ -120,6 +121,16 @@ def test_matmul_broadcast_gradients(gradcheck):
     a = rand_tensor(rng, (3, 2, 4))
     b = rand_tensor(rng, (4, 2))
     gradcheck(lambda: sum_all(matmul(a, b)), [a, b])
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (1, 4, 5)),
+                                              ((1, 3, 4), (2, 4, 5))],
+                         ids=["b-batch-1", "a-batch-1"])
+def test_matmul_size_one_batch_axis_gradients(gradcheck, a_shape, b_shape):
+    rng = np.random.default_rng(4)
+    a = rand_tensor(rng, a_shape)
+    b = rand_tensor(rng, b_shape)
+    gradcheck(lambda: sum_all(mul(matmul(a, b), matmul(a, b))), [a, b])
 
 
 # ---------------------------------------------------------------- softmax
@@ -242,6 +253,28 @@ def test_grad_cross_entropy(gradcheck):
     logits = rand_tensor(rng, (4, 3))
     labels = np.array([0, 2, 1, 1])
     gradcheck(lambda: cross_entropy(logits, labels), [logits])
+
+
+def test_grad_l2_penalty(gradcheck):
+    rng = np.random.default_rng(15)
+    params = [rand_tensor(rng, (3, 2)), rand_tensor(rng, (4,)), rand_tensor(rng, (1, 2, 2))]
+    gradcheck(lambda: l2_penalty(params, 0.3), params)
+
+
+def test_l2_penalty_equals_the_op_chain_bitwise():
+    rng = np.random.default_rng(16)
+    params = [Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float32)
+              for shape in ((7, 5), (5,), (3, 2, 4))]
+    chain = None
+    for p in params:
+        term = sum_all(mul(p, p))
+        chain = term if chain is None else add(chain, term)
+    chain = scale(chain, 1e-4)
+    fused = l2_penalty(params, 1e-4)
+    assert fused.dtype == np.float32
+    assert fused.data.tobytes() == chain.data.tobytes()
+    with pytest.raises(UsageError):
+        l2_penalty([], 1e-4)
 
 
 # ----------------------------------------------------- specific grad values

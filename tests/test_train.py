@@ -23,6 +23,7 @@ from textmoe import (
     synth_generate,
 )
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
+from textmoe.metrics import evaluate
 from textmoe.train import (
     TAG_SPLIT,
     EpochRecord,
@@ -30,6 +31,7 @@ from textmoe.train import (
     rng_stream,
     stratified_split,
 )
+from test_acceptance import ACCEPT_DIMS
 
 
 def make_dataset(task_id, n, num_classes=2, seed=0, length=4):
@@ -305,8 +307,54 @@ def test_fit_restores_best_checkpoint():
     # The restored model reproduces the best epoch's validation loss.
     _, val = stratified_split(dep, cfg.validation_fraction,
                               rng_stream(cfg.seed, TAG_SPLIT))
-    assert dataset_ce(model, val, cfg.batch_size) == pytest.approx(
+    assert dataset_ce(model, val, cfg.batch_size)[0] == pytest.approx(
         report.best_val_loss, abs=1e-6)
+
+
+def test_dataset_ce_report_matches_evaluate():
+    model = small_model(seed=11)
+    ds = make_dataset(DEPRESSION, 21, seed=23)
+    loss, report = dataset_ce(model, ds, batch_size=8)
+    assert math.isfinite(loss)
+    assert report == evaluate(model, ds, DEPRESSION, batch_size=8)
+
+
+def test_fit_forwards_validation_once_per_epoch(monkeypatch):
+    model = small_model(seed=12)
+    dep = make_dataset(DEPRESSION, 40, seed=24)
+    cfg = train_config(ratio=(0, 1), max_epochs=3)
+    forwarded = []
+    forward = model.forward
+
+    def counting_forward(batch, task_id, training=False, rng=None):
+        if not training:
+            forwarded.append(len(batch))
+        return forward(batch, task_id, training=training, rng=rng)
+
+    monkeypatch.setattr(model, "forward", counting_forward)
+    report = fit(model, None, dep, cfg)
+    _, val = stratified_split(dep, cfg.validation_fraction,
+                              rng_stream(cfg.seed, TAG_SPLIT))
+    assert sum(forwarded) == len(report.epochs) * len(val) == 3 * len(val)
+
+
+def test_training_loss_graph_size_at_acceptance_shape():
+    # One node for the L2 term, not three per parameter: 185 nodes before.
+    cfg = ModelConfig(vocab_size=10, **ACCEPT_DIMS)
+    rng = np.random.default_rng(0)
+    vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
+    model = MoeClassifier(cfg, EmbeddingTable.random(vocab, cfg.word_dim, rng), rng)
+    batch = make_dataset(DEPRESSION, 4, seed=25).examples
+    logits = model.forward(batch, DEPRESSION, training=True, rng=rng)
+    loss = compute_loss(logits, np.array([ex.label for ex in batch]),
+                        model.parameters(), lambda_l2=1e-4)
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) <= 102
 
 
 def test_fit_early_stop_and_lr_decay():
