@@ -14,14 +14,13 @@ joined into the format 2 layout.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, Vocabulary
+from .data import EmbeddingTable, Vocabulary, atomic_open
 from .errors import UsageError
 from .lexicon import Lexicon
 from .model import ModelConfig, MoeClassifier
@@ -40,21 +39,6 @@ class Checkpoint:
     language: str
     text_column: str
     label_column: str
-
-
-@contextlib.contextmanager
-def atomic_open(path: str, mode: str = "w", **kwargs):
-    """Open a temporary file beside ``path`` that replaces ``path`` once the
-    block completes. If the block raises, ``path`` keeps its old content and
-    the temporary file is removed."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
 
 
 def save_checkpoint(path: str, model: MoeClassifier, vocab: Vocabulary,
@@ -90,15 +74,33 @@ def _join_heads(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> None:
             arrays[f"expert{e}.{w}"] = np.concatenate(heads, axis=1)
 
 
+def _read_archive(path: str) -> tuple[str, dict[str, np.ndarray]]:
+    """The meta text and parameter arrays of the archive at ``path``.
+
+    A file that is not an .npz archive of plain arrays raises UsageError; a
+    missing or unreadable file keeps its OSError.
+    """
+    try:
+        z = np.load(path, allow_pickle=False)
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise UsageError(f"{path}: not a checkpoint: a bare array, not an .npz archive")
+        with z:
+            if "meta" not in z.files:
+                raise UsageError(f"{path}: not a checkpoint: no meta entry")
+            meta = str(z["meta"][()])
+            arrays = {k[len(_PARAM):]: z[k] for k in z.files if k.startswith(_PARAM)}
+    # ValueError: pickled or object data; EOFError: an empty file.
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise UsageError(f"{path}: not a checkpoint: {e}") from None
+    return meta, arrays
+
+
 def load_checkpoint(path: str) -> Checkpoint:
-    with np.load(path, allow_pickle=False) as z:
-        if "meta" not in z.files:
-            raise UsageError(f"{path}: not a checkpoint (no meta entry)")
-        try:
-            meta = json.loads(str(z["meta"][()]))
-        except json.JSONDecodeError as e:
-            raise UsageError(f"{path}: corrupt checkpoint meta: {e}") from None
-        arrays = {k[len(_PARAM):]: z[k] for k in z.files if k.startswith(_PARAM)}
+    text, arrays = _read_archive(path)
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise UsageError(f"{path}: corrupt checkpoint meta: {e}") from None
     version = meta.get("version") if isinstance(meta, dict) else None
     if version not in (1, FORMAT_VERSION):
         raise UsageError(f"{path}: unsupported checkpoint version {version}")

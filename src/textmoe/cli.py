@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .ablation import ALL_VARIANTS, DataBundle, build_model, ratio_sweep, run_ablation
-from .checkpoint import atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     RunConfig,
     load_run_config,
@@ -30,6 +30,7 @@ from .data import (
     DEPRESSION,
     SENTIMENT,
     TASK_IDS,
+    atomic_open,
     build_vocab,
     dataset_rows,
     encode_text,
@@ -178,7 +179,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         report = run_ablation(variant, bundle, model_cfg, cfg.train_config())
         rows.append((variant.value, report))
     table = metrics_table(rows, label="variant")
-    with open(os.path.join(out_dir, "ablation.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "ablation.txt"), encoding="utf-8") as fh:
         fh.write(table)
     print(table, end="")
     return 0
@@ -202,9 +203,9 @@ def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     for (rs, rd), report in results:
         x = rs / rd if rd else math.inf
         plot_lines.append(f"{x:g} {report.macro_f1!r}")
-    with open(os.path.join(out_dir, "ratio_sweep.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "ratio_sweep.txt"), encoding="utf-8") as fh:
         fh.write(table)
-    with open(os.path.join(out_dir, "ratio_sweep.dat"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "ratio_sweep.dat"), encoding="utf-8") as fh:
         fh.write("\n".join(plot_lines) + "\n")
     print(table, end="")
     return 0
@@ -222,13 +223,13 @@ def cmd_init(args: argparse.Namespace) -> int:
               dataset_rows(synth.depression, synth.vocab))
     write_csv(os.path.join(out, "depression_test.csv"),
               dataset_rows(synth.depression_test, synth.vocab))
-    with open(os.path.join(out, "lexicon.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "lexicon.txt"), encoding="utf-8") as fh:
         fh.write("# negative-marker terms, one per line\n")
         fh.write("\n".join(sorted(synth.lexicon.terms)) + "\n")
 
     word_dim = 24
     rng = np.random.default_rng([args.seed, 99])
-    with open(os.path.join(out, "embeddings.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out, "embeddings.txt"), encoding="utf-8") as fh:
         for token in synth.vocab.id_to_token[2:]:
             if rng.random() < 0.7:  # leave some tokens to the OOV path
                 values = " ".join(f"{v:.5f}" for v in rng.uniform(-0.5, 0.5, word_dim))

@@ -13,6 +13,7 @@ import configparser
 import os
 from dataclasses import dataclass, field, fields, replace
 
+from .data import atomic_open
 from .errors import ConfigError
 from .model import ModelConfig
 from .train import TrainConfig
@@ -205,7 +206,7 @@ def write_run_config(cfg: RunConfig, path: str) -> None:
         holder = _holder(cfg, section)
         parser[section] = {key: _FORMATS.get(attr, str)(getattr(holder, attr))
                            for key, (attr, _) in keys.items()}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, encoding="utf-8") as fh:
         parser.write(fh)
 
 

@@ -1,4 +1,5 @@
-"""Tokenization, vocabulary, embeddings, dataset loading, synthetic data.
+"""Tokenization, vocabulary, embeddings, dataset loading, synthetic data,
+and the atomic file writes every artifact goes through.
 
 Both tasks share one vocabulary. Reserved ids: PAD=0, UNK=1. Sequences are
 truncated to MAX_SEQ_LEN tokens. Marker bits are computed on token strings
@@ -8,7 +9,9 @@ lexicon.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import string
 from collections import Counter
 from collections.abc import Iterable
@@ -280,9 +283,24 @@ def dataset_rows(ds: TaskDataset, vocab: Vocabulary) -> list[tuple[str, str]]:
             for ex in ds.examples]
 
 
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` that replaces ``path`` once the
+    block completes. If the block raises, ``path`` keeps its old content and
+    the temporary file is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_csv(path: str, rows: list[tuple[str, str]],
               text_column: str = "text", label_column: str = "label") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([text_column, label_column])
         writer.writerows(rows)

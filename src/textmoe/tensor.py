@@ -173,7 +173,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accum(a, _unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            if b.ndim == 2:
+                # A weight: one GEMM over all leading rows, where the batched
+                # product would build a (batch, k, n) array only to sum it.
+                k, n = b.shape
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
+            else:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            _accum(b, gb)
 
     return _from_op(out, (a, b), backward)
 

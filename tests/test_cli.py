@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from textmoe import cli
 from textmoe.checkpoint import load_checkpoint
 from textmoe.cli import PREDICT_CHUNK_LINES, main
 from textmoe.metrics import parse_record
@@ -178,6 +179,53 @@ def test_corrupt_checkpoint_exits_2(workspace, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("w1 w2\n"))
     assert main(["predict", str(bad)]) == 2
     assert "corrupt checkpoint meta" in capsys.readouterr().err
+
+
+def _not_a_checkpoint(kind, workspace, tmp_path):
+    if kind == "text":
+        path = tmp_path / "text.npz"
+        path.write_text("not an archive\n", encoding="utf-8")
+    elif kind == "npy":
+        path = tmp_path / "bare.npy"
+        np.save(path, np.ones(3))
+    elif kind == "truncated":
+        path = tmp_path / "cut.npz"
+        whole = (workspace["out"] / "model.npz").read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])
+    else:  # an entry holding object data
+        with np.load(workspace["out"] / "model.npz", allow_pickle=False) as z:
+            payload = {k: z[k] for k in z.files}
+        payload["param/embedding"] = np.array([1, "a"], dtype=object)
+        path = tmp_path / "object.npz"
+        np.savez(path, **payload)
+    return path
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("kind", ["text", "npy", "truncated", "object"])
+def test_not_a_checkpoint_exits_2(workspace, tmp_path, capsys, monkeypatch, kind, command):
+    path = _not_a_checkpoint(kind, workspace, tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("w1 w2\n"))
+    args = [command, str(path)]
+    if command == "eval":
+        args.append(str(workspace["data"] / "depression_test.csv"))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: not a checkpoint:" in err
+    assert "Traceback" not in err
+
+
+def test_failed_ablation_write_keeps_previous_table(workspace, tmp_path, monkeypatch):
+    out = tmp_path / "abl"
+    out.mkdir()
+    (out / "ablation.txt").write_text("old table\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "run_ablation", lambda *args: None)
+    # A lone surrogate cannot be encoded, so the write raises.
+    monkeypatch.setattr(cli, "metrics_table", lambda rows, label: "new table\n\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        main(["ablate", str(workspace["data"] / "config.ini"), "--out", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == ["ablation.txt"]
+    assert (out / "ablation.txt").read_text(encoding="utf-8") == "old table\n"
 
 
 def test_non_finite_embedding_exits_1(tmp_path, capsys):

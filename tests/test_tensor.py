@@ -3,6 +3,7 @@ gradients, and the error contracts of every op.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from textmoe.tensor import (
     swap_axes,
     transpose_last,
 )
-from conftest import rand_tensor
+from conftest import max_rel_err, rand_tensor
 
 
 # ----------------------------------------------------------------- basics
@@ -131,6 +132,83 @@ def test_matmul_size_one_batch_axis_gradients(gradcheck, a_shape, b_shape):
     a = rand_tensor(rng, a_shape)
     b = rand_tensor(rng, b_shape)
     gradcheck(lambda: sum_all(mul(matmul(a, b), matmul(a, b))), [a, b])
+
+
+def _weight_grad(a: Tensor, b: Tensor, g: np.ndarray, swap_out: bool) -> np.ndarray:
+    """b.grad after backprop of sum(out * g), out = a @ b; with ``swap_out``
+    the loss reads out through swap_axes, so matmul receives a
+    non-contiguous gradient."""
+    b.grad = None
+    out = matmul(a, b)
+    if swap_out:
+        out = swap_axes(out, 0, 1)
+    sum_all(mul(out, Tensor(g, dtype=g.dtype))).backward()
+    return b.grad
+
+
+def _weight_grad_reference(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The batched product summed over every leading axis."""
+    prod = np.swapaxes(a, -1, -2) @ g
+    return prod.reshape(-1, *prod.shape[-2:]).sum(axis=0)
+
+
+_X = np.random.default_rng(5).normal(size=(4, 3, 5, 6))
+
+
+@pytest.mark.parametrize("a_np, swap_out", [
+    pytest.param(_X[0], False, id="3-d"),
+    pytest.param(_X, False, id="4-d"),
+    # A view, as matmul sees it after swap_axes.
+    pytest.param(np.swapaxes(_X, 1, 2), False, id="swapped"),
+    # swap_axes then reshape, as expert_forward merges its heads.
+    pytest.param(np.swapaxes(_X, 1, 2).reshape(4, 5, 18), False, id="swap-reshape"),
+    pytest.param(_X[0], True, id="swapped-g"),
+])
+def test_weight_gradient_is_the_summed_batched_product(a_np, swap_out):
+    rng = np.random.default_rng(6)
+    k = a_np.shape[-1]
+    b = Tensor(rng.normal(size=(k, 7)), requires_grad=True, dtype=np.float64)
+    a = Tensor(a_np, requires_grad=True, dtype=np.float64)
+    out_shape = a_np.shape[:-1] + (7,)
+    if swap_out:
+        g_loss = rng.normal(size=(out_shape[1], out_shape[0], *out_shape[2:]))
+        g_out = np.swapaxes(g_loss, 0, 1)
+    else:
+        g_loss = g_out = rng.normal(size=out_shape)
+
+    got = _weight_grad(a, b, g_loss, swap_out)
+    assert got.shape == b.shape
+    assert max_rel_err(got, _weight_grad_reference(a_np, g_out)) < 1e-12
+
+    # float32: any summation order of the n products per entry is within
+    # gamma_n * (|a|^T |g|) of the exact sum, gamma_n = n*u / (1 - n*u).
+    a32 = Tensor(a_np.astype(np.float32), requires_grad=True)
+    b32 = Tensor(b.data.astype(np.float32), requires_grad=True)
+    g32 = g_loss.astype(np.float32)
+    g32_out = np.swapaxes(g32, 0, 1) if swap_out else g32
+    got32 = _weight_grad(a32, b32, g32, swap_out)
+    assert got32.dtype == np.float32
+    a64, g64 = a32.data.astype(np.float64), g32_out.astype(np.float64)
+    n = a_np.size // k
+    u = np.finfo(np.float32).eps / 2
+    bound = n * u / (1 - n * u) * _weight_grad_reference(np.abs(a64), np.abs(g64))
+    assert (np.abs(got32 - _weight_grad_reference(a64, g64)) <= bound).all()
+
+
+def test_weight_gradient_allocates_no_batched_product():
+    # The (64, 400, 400) float32 product the batched form would sum is 41 MB.
+    rng = np.random.default_rng(7)
+    a = Tensor(rng.normal(size=(64, 12, 400)).astype(np.float32), requires_grad=True)
+    b = Tensor(rng.normal(size=(400, 400)).astype(np.float32), requires_grad=True)
+    loss = sum_all(matmul(a, b))
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.grad.shape == (400, 400)
+    assert peak < 64 * 400 * 400 * 4, f"backward peaked at {peak / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------- softmax
