@@ -59,7 +59,7 @@ from .model import (
     gate_weights,
 )
 from .optim import RmsProp
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .train import (
     EarlyStopper,
     TrainConfig,

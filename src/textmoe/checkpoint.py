@@ -10,12 +10,19 @@ Format 2 stores each expert's query, key and value projections as one
 column block h. Format 1 stored one (model_dim, head_dim) matrix per head,
 ``expert{e}.h{h}.w{q,k,v}``; such archives still load, their head matrices
 joined into the format 2 layout.
+
+Entries are stored uncompressed, as ``np.savez`` writes them; loading
+reads each one into place and checks its CRC-32. A compressed archive
+is not a checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import struct
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -74,25 +81,76 @@ def _join_heads(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> None:
             arrays[f"expert{e}.{w}"] = np.concatenate(heads, axis=1)
 
 
+def _padded(size: int) -> int:
+    """``size`` rounded up to 64, the alignment of each parameter in the
+    load buffer."""
+    return -(-size // 64) * 64
+
+
+def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[bytes, np.dtype, tuple, str]:
+    """The .npy header, dtype, shape and order of a stored archive entry,
+    with ``fh`` left at the start of its array data."""
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"{info.filename}: compressed entries are not supported")
+    fh.seek(info.header_offset)
+    local = fh.read(30)
+    if len(local) != 30 or local[:4] != b"PK\x03\x04":
+        raise zipfile.BadZipFile(f"{info.filename}: bad local header")
+    name_len, extra_len = struct.unpack("<HH", local[26:])
+    start = info.header_offset + 30 + name_len + extra_len
+    fh.seek(start)
+    version = np.lib.format.read_magic(fh)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"{info.filename}: unsupported .npy version {version}")
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    shape, fortran, dtype = read_header(fh)
+    if dtype.hasobject:
+        raise ValueError(f"{info.filename}: object arrays are not allowed")
+    header_len = fh.tell() - start
+    if header_len + math.prod(shape) * dtype.itemsize != info.file_size:
+        raise ValueError(f"{info.filename}: size does not match its .npy header")
+    fh.seek(start)
+    return fh.read(header_len), dtype, shape, "F" if fortran else "C"
+
+
 def _read_archive(path: str) -> tuple[str, dict[str, np.ndarray]]:
     """The meta text and parameter arrays of the archive at ``path``.
 
-    A file that is not an .npz archive of plain arrays raises UsageError; a
-    missing or unreadable file keeps its OSError.
+    Each entry is read straight from the file and checked against its
+    CRC-32; the parameters share one buffer. One large allocation and no
+    staging copies keep a load cheap in a process that has no freed
+    memory to reuse.
+
+    A file that is not an .npz archive of plain stored arrays, or whose
+    entry fails its checksum, raises UsageError; a missing or unreadable
+    file keeps its OSError.
     """
     try:
-        z = np.load(path, allow_pickle=False)
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise UsageError(f"{path}: not a checkpoint: a bare array, not an .npz archive")
-        with z:
-            if "meta" not in z.files:
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+            entries = {info.filename.removesuffix(".npy"): info for info in zf.infolist()}
+            if "meta" not in entries:
                 raise UsageError(f"{path}: not a checkpoint: no meta entry")
-            meta = str(z["meta"][()])
-            arrays = {k[len(_PARAM):]: z[k] for k in z.files if k.startswith(_PARAM)}
-    # ValueError: pickled or object data; EOFError: an empty file.
+            buf = np.empty(sum(_padded(info.file_size) for name, info in entries.items()
+                               if name.startswith(_PARAM)), np.uint8)
+            found, at = {}, 0
+            for name, info in entries.items():
+                header, dtype, shape, order = _entry_layout(fh, info)
+                size = info.file_size - len(header)
+                if name.startswith(_PARAM):
+                    data, at = buf[at:at + size], at + _padded(size)
+                else:
+                    data = np.empty(size, np.uint8)
+                if fh.readinto(data) != size:
+                    raise EOFError(f"{info.filename}: truncated")
+                if zlib.crc32(data, zlib.crc32(header)) != info.CRC:
+                    raise zipfile.BadZipFile(f"{info.filename}: CRC-32 mismatch")
+                found[name] = data.view(dtype).reshape(shape, order=order)
+    # ValueError: object data or a malformed entry; EOFError: a short file.
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise UsageError(f"{path}: not a checkpoint: {e}") from None
-    return meta, arrays
+    meta = str(found["meta"][()])
+    return meta, {k[len(_PARAM):]: v for k, v in found.items() if k.startswith(_PARAM)}
 
 
 def load_checkpoint(path: str) -> Checkpoint:

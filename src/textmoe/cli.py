@@ -43,7 +43,7 @@ from .errors import ConfigError, DataError, Error, UsageError
 from .lexicon import DEFAULT_MARKER_EMOTIONS, load_nrc_lexicon, load_plain_lexicon
 from .metrics import evaluate, metrics_table, report_record
 from .model import ModelConfig
-from .tensor import softmax
+from .tensor import Tensor, softmax
 from .train import TrainConfig, fit
 
 CONFIG_EXIT = 2
@@ -155,11 +155,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
                           f"(has: {sorted(ckpt.label_names)})")
     names = ckpt.label_names[args.task]
     lines = (line.rstrip("\n") for line in sys.stdin)
-    # One forward per chunk bounds memory by the chunk, not by the input.
+    # Chunks bound memory by the chunk, not by the input; infer groups each
+    # chunk's lines into length buckets and records no graph.
     while chunk := list(itertools.islice(lines, PREDICT_CHUNK_LINES)):
         batch = [encode_text(line, ckpt.vocab, ckpt.lexicon, ckpt.language,
                              ckpt.model.cfg.max_seq_len) for line in chunk]
-        logits = ckpt.model.forward(batch, args.task, training=False)
+        logits = Tensor(ckpt.model.infer(batch, args.task))
         for row in softmax(logits).data:
             best = int(np.argmax(row))
             print(f"{names[best]}\t{row[best]:.6f}")

@@ -78,12 +78,11 @@ def metrics(preds, labels, num_classes: int, task_id: str = "") -> MetricsReport
 
 def evaluate(model, dataset: TaskDataset, task_id: str,
              batch_size: int = 256) -> MetricsReport:
-    """Predict over the dataset in order and score against its labels."""
+    """Predict over the whole dataset, grouped into length buckets of at
+    most ``batch_size`` examples, and score against its labels."""
     if len(dataset) == 0:
         raise UsageError("evaluate: empty dataset")
-    preds: list[int] = []
-    for start in range(0, len(dataset), batch_size):
-        preds += model.predict(dataset.examples[start:start + batch_size], task_id)
+    preds = model.predict(dataset.examples, task_id, batch_size)
     return metrics(preds, dataset.labels, dataset.num_classes, task_id=task_id)
 
 

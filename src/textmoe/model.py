@@ -44,6 +44,7 @@ from .tensor import (  # noqa: F401
     masked_mean,
     matmul,
     mul,
+    no_grad,
     relu,
     reshape,
     scale,
@@ -314,10 +315,30 @@ class MoeClassifier:
         w, b = self.heads[k]
         return add(matmul(mixed, w), b)
 
-    def predict(self, batch, task_id: str) -> list[int]:
+    def infer(self, examples, task_id: str, batch_size: int = 256) -> np.ndarray:
+        """Eval-mode logits (n, classes) in input order, with no graph.
+
+        Examples are grouped by width bucket, the smallest power of two at
+        least as long as the example, so a batch pads each one to less than
+        twice its length. Each bucket keeps input order and is forwarded in
+        slices of at most ``batch_size`` examples.
+        """
+        _, b = self.heads[self.task_index(task_id)]
+        out = np.empty((len(examples), b.shape[0]), dtype=b.dtype)
+        buckets: dict[int, list[int]] = {}
+        for i, ex in enumerate(examples):
+            buckets.setdefault(1 << max(len(ex[0]) - 1, 0).bit_length(), []).append(i)
+        with no_grad():
+            for width in sorted(buckets):
+                rows = buckets[width]
+                for start in range(0, len(rows), batch_size):
+                    idx = rows[start:start + batch_size]
+                    out[idx] = self.forward([examples[i] for i in idx], task_id).data
+        return out
+
+    def predict(self, examples, task_id: str, batch_size: int = 256) -> list[int]:
         """Argmax class per example; ties go to the lowest index."""
-        logits = self.forward(batch, task_id, training=False)
-        return [int(i) for i in np.argmax(logits.data, axis=1)]
+        return np.argmax(self.infer(examples, task_id, batch_size), axis=1).tolist()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_parameters()}

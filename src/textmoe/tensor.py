@@ -7,6 +7,9 @@ reverse topological order and accumulates d(loss)/d(leaf) into ``.grad``
 of every tensor created with ``requires_grad=True``; gradients arriving
 over multiple paths add.
 
+Inside ``with no_grad():`` ops record nothing: an output gets no parents
+and no backward closure, so a forward frees its activations as it goes.
+
 Float32 is the working dtype; pass float64 arrays for gradient checking.
 Integer data (token ids, labels, masks) stays in plain numpy arrays and
 never enters a Tensor.
@@ -14,7 +17,8 @@ never enters a Tensor.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,6 +30,21 @@ DEFAULT_DTYPE = np.float32
 # exp underflows to exactly 0, same effect as -inf without infinities in
 # any stored array.
 MASK_FILL = -1e9
+
+# False inside a no_grad scope; _from_op reads it.
+_recording = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph in this scope. Nests, and restores the previous
+    state on exit, an exception included."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -71,6 +90,9 @@ class Tensor:
             raise UsageError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
+        if not self.requires_grad:
+            raise UsageError("backward: this value recorded no graph (it was computed "
+                             "under no_grad or from tensors that need no gradient)")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -125,7 +147,7 @@ class Tensor:
 
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

@@ -23,7 +23,7 @@ from .errors import ConfigError, TrainingDiverged
 # wraps each by its name in this module, so they stay.
 from .metrics import MetricsReport, evaluate, metrics  # noqa: F401
 from .optim import RmsProp
-from .tensor import Tensor, add, cross_entropy, l2_penalty, mul, scale, sum_all  # noqa: F401
+from .tensor import Tensor, add, cross_entropy, l2_penalty, mul, no_grad, scale, sum_all  # noqa: F401
 
 # Fixed tags give every consumer its own deterministic stream per seed.
 TAG_EMBEDDING, TAG_MODEL, TAG_SPLIT, TAG_SCHEDULE, TAG_DROPOUT = range(5)
@@ -202,12 +202,15 @@ def dataset_ce(model, ds: TaskDataset,
     metrics of its argmax predictions, from one forward per batch."""
     total = 0.0
     preds: list[int] = []
-    for start in range(0, len(ds), batch_size):
-        batch = ds.examples[start:start + batch_size]
-        logits = model.forward(batch, ds.task_id, training=False)
-        labels = np.array([ex.label for ex in batch])
-        total += compute_loss(logits, labels).item() * len(batch)
-        preds += np.argmax(logits.data, axis=1).tolist()
+    # Input-order batches, not length buckets: the loss drives LR decay and
+    # early stopping, so its summation order stays fixed.
+    with no_grad():
+        for start in range(0, len(ds), batch_size):
+            batch = ds.examples[start:start + batch_size]
+            logits = model.forward(batch, ds.task_id, training=False)
+            labels = np.array([ex.label for ex in batch])
+            total += compute_loss(logits, labels).item() * len(batch)
+            preds += np.argmax(logits.data, axis=1).tolist()
     return total / len(ds), metrics(preds, ds.labels, ds.num_classes, task_id=ds.task_id)
 
 

@@ -1,6 +1,8 @@
 """Checkpoint save/load: bit-exact round trips and format guards."""
 
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -147,3 +149,46 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     for (name, a), (_, b) in zip(model.named_parameters(),
                                  ckpt.model.named_parameters()):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_loaded_parameters_are_writable_aligned_views(tmp_path):
+    # Loading reads every parameter into one buffer; training a loaded
+    # model updates them in place.
+    model, vocab, lexicon, names = build(seed=6)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    for name, t in load_checkpoint(path).model.named_parameters():
+        assert t.data.flags.writeable and t.data.flags.aligned, name
+        assert t.data.dtype == np.float32 and t.data.flags.c_contiguous, name
+
+
+def test_fortran_order_entry_loads(tmp_path):
+    model, vocab, lexicon, names = build(seed=7)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    payload = read_archive(path)
+    payload["param/expert0.w1"] = np.asfortranarray(payload["param/expert0.w1"])
+    np.savez(path, **payload)
+    loaded = dict(load_checkpoint(path).model.named_parameters())["expert0.w1"]
+    np.testing.assert_array_equal(loaded.data, model.experts[0].w1.data)
+
+
+def test_flipped_data_byte_fails_the_checksum(tmp_path):
+    model, vocab, lexicon, names = build(seed=8)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("param/embedding.npy")
+    raw = bytearray((tmp_path / "m.npz").read_bytes())
+    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:
+                                                   info.header_offset + 30])
+    last = info.header_offset + 30 + name_len + extra_len + info.file_size - 1
+    raw[last] ^= 0x40
+    (tmp_path / "m.npz").write_bytes(bytes(raw))
+    with pytest.raises(UsageError, match="CRC"):
+        load_checkpoint(path)
+
+
+def test_compressed_archive_is_usage_error(tmp_path):
+    model, vocab, lexicon, names = build(seed=9)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    np.savez_compressed(path, **read_archive(path))
+    with pytest.raises(UsageError, match="compressed"):
+        load_checkpoint(path)

@@ -3,6 +3,7 @@ oracle, expert units, gates, the assembled classifier, and its invariants.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from textmoe import (
     gate_weights,
     synth_generate,
 )
-from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
+from textmoe import tensor
+from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Example, TaskDataset, Vocabulary
+from textmoe.metrics import evaluate
 from textmoe.model import SCALE_MODES, ExpertUnit, _Init
 from textmoe.tensor import (
     add,
@@ -27,10 +30,13 @@ from textmoe.tensor import (
     masked_max,
     masked_mean,
     matmul,
+    no_grad,
     relu,
     slice_last,
     sum_all,
 )
+from textmoe.train import compute_loss, dataset_ce
+from test_acceptance import ACCEPT_DIMS
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -511,3 +517,119 @@ def test_whole_model_gradients(gradcheck):
               model.experts[0].wo, model.heads[1][0]]
     gradcheck(lambda: sum_all(model.forward(batch, DEPRESSION)), params,
               tol=1e-4)
+
+
+# ------------------------------------------------------- inference path
+
+
+def accept_model(seed, dtype=np.float32, vocab_size=50) -> MoeClassifier:
+    cfg = ModelConfig(vocab_size=vocab_size, **ACCEPT_DIMS)
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary.from_tokens(f"t{i}" for i in range(vocab_size - 2))
+    emb = EmbeddingTable.random(vocab, cfg.word_dim, rng, dtype=dtype)
+    return MoeClassifier(cfg, emb, rng, dtype=dtype)
+
+
+def lines_of(rng, lengths, vocab_size=50):
+    return [Example(rng.integers(2, vocab_size, size=n).tolist(),
+                    rng.integers(0, 2, size=n).tolist(), int(rng.integers(0, 2)))
+            for n in lengths]
+
+
+# 12 short lines plus a long tail, as social-network posts come.
+def mixed_lines(rng):
+    tail = [4, 5, 5, 6, 6, 7, 8, 9, 10, 12, 14, 17, 22, 32, 56, 128]
+    return lines_of(rng, list(rng.integers(4, 13, size=12)) + tail)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_grad_forward_is_bitwise_the_recording_forward(dtype):
+    model = accept_model(seed=30, dtype=dtype)
+    batch = mixed_lines(np.random.default_rng(31))
+    for task in (DEPRESSION, SENTIMENT):
+        recorded = model.forward(batch, task).data
+        with no_grad():
+            free = model.forward(batch, task).data
+        assert free.dtype == dtype
+        np.testing.assert_array_equal(free, recorded)
+
+
+def test_eval_mode_outputs_record_no_graph(monkeypatch):
+    model = accept_model(seed=32)
+    rng = np.random.default_rng(33)
+    ds = TaskDataset(DEPRESSION, lines_of(rng, rng.integers(1, 20, size=9)), 2)
+    outputs = []
+    make = tensor._from_op
+
+    def spy(data, parents, backward):
+        outputs.append(make(data, parents, backward))
+        return outputs[-1]
+
+    monkeypatch.setattr(tensor, "_from_op", spy)
+    model.infer(ds.examples, SENTIMENT, batch_size=4)
+    model.predict(ds.examples, DEPRESSION)
+    evaluate(model, ds, DEPRESSION, batch_size=4)
+    dataset_ce(model, ds, batch_size=4)
+    assert outputs
+    assert all(t._parents == () and t._backward is None for t in outputs)
+
+
+def test_training_step_after_evaluate_fills_every_touched_gradient():
+    model = accept_model(seed=34)
+    rng = np.random.default_rng(35)
+    ds = TaskDataset(DEPRESSION, lines_of(rng, rng.integers(1, 12, size=6)), 2)
+    evaluate(model, ds, DEPRESSION)
+    dataset_ce(model, ds)
+    logits = model.forward(ds.examples, DEPRESSION, training=True,
+                           rng=np.random.default_rng(0))
+    compute_loss(logits, np.array(ds.labels)).backward()
+    other = 1 - model.task_index(DEPRESSION)  # the idle task's gate and head
+    idle = {f"gate{other}", f"head{other}.w", f"head{other}.b"}
+    for name, p in model.named_parameters():
+        assert (p.grad is None) == (name in idle), name
+
+
+def test_infer_keeps_input_order_across_buckets():
+    model = accept_model(seed=36)
+    batch = mixed_lines(np.random.default_rng(37))
+    got = model.infer(batch, DEPRESSION, batch_size=3)
+    one_by_one = np.stack([model.forward([ex], DEPRESSION).data[0] for ex in batch])
+    assert got.shape == (len(batch), 2)
+    assert np.abs(got - one_by_one).max() <= 1e-5
+    assert model.predict(batch, DEPRESSION) == got.argmax(axis=1).tolist()
+
+
+def test_infer_empty_input_and_errors():
+    model = accept_model(seed=38)
+    assert model.infer([], DEPRESSION).shape == (0, 2)
+    with pytest.raises(UsageError, match="max_seq_len"):
+        model.infer(lines_of(np.random.default_rng(0), [3, 129]), DEPRESSION)
+    with pytest.raises(ConfigError):
+        model.infer(lines_of(np.random.default_rng(0), [3]), "nope")
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bucketed_inference_peaks_below_a_padded_forward():
+    # The padded forward makes (28, heads, 128, 128) attention scores and,
+    # recording, keeps every activation until it returns; the 4..128-token
+    # buckets stay far below both.
+    model = accept_model(seed=39)
+    batch = mixed_lines(np.random.default_rng(40))
+
+    def padded_without_graph():
+        with no_grad():
+            model.forward(batch, DEPRESSION)
+
+    recorded = _peak_bytes(lambda: model.forward(batch, DEPRESSION))
+    padded = _peak_bytes(padded_without_graph)
+    bucketed = _peak_bytes(lambda: model.infer(batch, DEPRESSION))
+    assert bucketed < recorded, (bucketed, recorded)
+    assert bucketed < padded, (bucketed, padded)

@@ -21,6 +21,7 @@ from textmoe.tensor import (
     masked_mean,
     matmul,
     mul,
+    no_grad,
     relu,
     reshape,
     scale,
@@ -59,6 +60,19 @@ def test_backward_rejects_non_scalar():
     t = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(UsageError):
         t.backward()
+
+
+def test_backward_without_a_graph_is_a_usage_error():
+    # A loss computed under no_grad, or from tensors that need no gradient,
+    # cannot fill any .grad; backward must say so instead of returning.
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        loss = sum_all(matmul(w, w))
+    with pytest.raises(UsageError, match="no graph"):
+        loss.backward()
+    with pytest.raises(UsageError, match="no graph"):
+        sum_all(Tensor(np.ones(2))).backward()
+    assert w.grad is None
 
 
 def test_operator_sugar():
@@ -400,6 +414,49 @@ def test_no_requires_grad_means_no_graph():
     out = matmul(a, b)
     assert not out.requires_grad
     assert out._parents == ()
+
+
+# ----------------------------------------------------------------- no_grad
+
+
+def test_no_grad_output_holds_no_graph():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.ones((3, 2)), requires_grad=True)
+    with no_grad():
+        out = softmax(matmul(a, b))
+    assert not out.requires_grad
+    assert out._parents == () and out._backward is None
+    # Recording resumes on exit.
+    assert matmul(a, b)._parents == (a, b)
+
+
+def test_no_grad_nests_and_restores_after_an_exception():
+    a = Tensor(np.ones((2, 2)), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert not add(a, a).requires_grad
+        # Leaving the inner scope keeps the outer one in force.
+        assert not add(a, a).requires_grad
+    assert add(a, a).requires_grad
+    with pytest.raises(ShapeError):
+        with no_grad():
+            add(a, Tensor(np.ones((3, 3))))
+    assert add(a, a).requires_grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_no_grad_values_are_bitwise_the_recorded_ones(dtype):
+    rng = np.random.default_rng(8)
+    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=dtype)
+    b = Tensor(rng.normal(size=(4, 5)), requires_grad=True, dtype=dtype)
+    mask = np.array([[True, True, False], [True, False, False]])
+
+    def run():
+        return masked_max(relu(softmax(matmul(a, b))), mask).data
+
+    recorded = run()
+    with no_grad():
+        np.testing.assert_array_equal(run(), recorded)
 
 
 # ----------------------------------------------------------------- dropout
