@@ -59,7 +59,7 @@ def _load_lexicon(cfg: RunConfig):
 
 
 def _read_token_lists(path: str, cfg: RunConfig) -> list[list[str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if cfg.text_column not in (reader.fieldnames or []):
             raise DataError(f"{path}: missing column {cfg.text_column!r}")

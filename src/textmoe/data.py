@@ -100,11 +100,81 @@ class EmbeddingTable:
         return cls(Tensor(m, requires_grad=True), dim)
 
 
+# Kept vector lines parsed per np.loadtxt call: bounds the raw text held at once.
+GLOVE_CHUNK_LINES = 2048
+# ASCII separators np.loadtxt strips around a value like spaces but float()
+# rejects; a chunk holding one goes to the line loop.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def load_glove(path: str, vocab: Vocabulary, dim: int, rng: np.random.Generator,
                dtype=np.float32) -> EmbeddingTable:
-    """Text-format vectors (`token v1 ... vN`); absent tokens get U(-0.05, 0.05)."""
+    """Text-format vectors (`token v1 ... vN`); absent tokens get U(-0.05, 0.05).
+
+    A later line for the same token wins. Python only splits each line; the
+    values of up to GLOVE_CHUNK_LINES kept lines are parsed by one
+    np.loadtxt call to float64 and then cast, the same bits as float() and
+    a cast. Any line the fast path cannot take (a wrong value count, a value
+    loadtxt rejects or a non-finite one) sends the file to
+    _load_glove_lines, which names the first bad line and accepts all that
+    float() accepts. The absent rows are drawn in one call, the same stream
+    as one call per row.
+    """
+    m = np.empty((len(vocab), dim), dtype=dtype)
+    found = np.zeros(len(vocab), dtype=bool)
+    pending: dict[int, str] = {}  # vocab row -> its line's values, in file order
+
+    def flush() -> bool:
+        """Parse the pending lines into their rows; False if the line loop
+        must decide."""
+        rests = list(pending.values())
+        block = "\n".join(rests)
+        if any(c in block for c in _LOADTXT_ONLY_SPACE):
+            return False
+        try:
+            values = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None,
+                                quotechar=None, ndmin=2)
+        except ValueError:
+            return False
+        # A value past the dtype's range becomes inf, rejected below.
+        with np.errstate(over="ignore"):
+            values = values.astype(dtype)
+        if values.shape != (len(rests), dim) or not np.isfinite(values).all():
+            return False
+        rows = list(pending)
+        m[rows] = values
+        found[rows] = True
+        pending.clear()
+        return True
+
+    with open(path, encoding="utf-8-sig") as fh:
+        for line in fh:
+            token, _, rest = line.rstrip("\n").partition(" ")
+            idx = vocab.token_to_id.get(token)
+            # loadtxt's shape check counts a kept line's values, so only a
+            # skipped line is counted here; an empty rest loadtxt would skip.
+            if not rest or (idx is None and rest.count(" ") != dim - 1):
+                return _load_glove_lines(path, vocab, dim, rng, dtype)
+            if idx is None:
+                continue
+            # A token seen again while pending: flush so the later line wins.
+            if (idx in pending or len(pending) == GLOVE_CHUNK_LINES) and not flush():
+                return _load_glove_lines(path, vocab, dim, rng, dtype)
+            pending[idx] = rest
+    if pending and not flush():
+        return _load_glove_lines(path, vocab, dim, rng, dtype)
+    absent = np.flatnonzero(~found)
+    m[absent] = rng.uniform(-0.05, 0.05, size=(len(absent), dim)).astype(dtype)
+    m[PAD_ID] = 0.0
+    return EmbeddingTable(Tensor(m, requires_grad=True), dim)
+
+
+def _load_glove_lines(path: str, vocab: Vocabulary, dim: int, rng: np.random.Generator,
+                      dtype=np.float32) -> EmbeddingTable:
+    """load_glove one line at a time through float(): raises ParseError
+    naming the first bad line, and is the reference load_glove must match."""
     found: dict[int, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             token, values = parts[0], parts[1:]
@@ -184,7 +254,7 @@ def load_csv_dataset(path: str, task_id: str, text_column: str, label_column: st
     """RFC-4180 CSV with a header row -> TaskDataset."""
     num_classes = max(label_map.values()) + 1
     examples: list[Example] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in (text_column, label_column):

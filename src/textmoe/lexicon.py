@@ -47,7 +47,7 @@ def load_nrc_lexicon(path: str, selected_emotions: Iterable[str] = DEFAULT_MARKE
     if unknown:
         raise ConfigError(f"unknown emotion name(s): {sorted(unknown)}")
     terms: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 3:
@@ -63,7 +63,7 @@ def load_nrc_lexicon(path: str, selected_emotions: Iterable[str] = DEFAULT_MARKE
 def load_plain_lexicon(path: str, language: str = "english") -> Lexicon:
     """Read a one-term-per-line UTF-8 list; blank lines and # comments skipped."""
     terms: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             term = line.strip()
             if not term or term.startswith("#"):

@@ -11,6 +11,7 @@ import pytest
 
 from textmoe import cli
 from textmoe.checkpoint import load_checkpoint
+from textmoe.config import RunConfig
 from textmoe.cli import PREDICT_CHUNK_LINES, main
 from textmoe.metrics import parse_record
 
@@ -237,6 +238,23 @@ def test_non_finite_embedding_exits_1(tmp_path, capsys):
                        encoding="utf-8")
     assert main(["train", str(data / "config.ini"), "--out", str(tmp_path / "out")]) == 1
     assert "embeddings.txt:1: non-finite value" in capsys.readouterr().err
+
+
+def test_eval_reads_a_byte_order_mark(workspace, tmp_path, capsys):
+    test_csv = workspace["data"] / "depression_test.csv"
+    bom = tmp_path / "bom.csv"
+    bom.write_text("\ufeff" + test_csv.read_text(encoding="utf-8"), encoding="utf-8")
+    model = str(workspace["out"] / "model.npz")
+    assert main(["eval", model, str(test_csv)]) == 0
+    plain = capsys.readouterr().out
+    assert main(["eval", model, str(bom)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_vocabulary_csv_reads_a_byte_order_mark(tmp_path):
+    p = tmp_path / "posts.csv"
+    p.write_text("\ufefftext,label\nHello world,1\n", encoding="utf-8")
+    assert cli._read_token_lists(str(p), RunConfig()) == [["hello", "world"]]
 
 
 def test_unknown_label_in_dataset_exits_1(workspace, tmp_path, capsys):

@@ -3,6 +3,7 @@ synthetic two-task generator.
 """
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,6 +160,73 @@ def test_load_glove_non_numeric(tmp_path):
         load_glove(str(p), v, 2, np.random.default_rng(0))
 
 
+def test_load_glove_reads_a_byte_order_mark(tmp_path):
+    p = tmp_path / "vec.txt"
+    p.write_text("\ufeffalpha 0.1 0.2\nbeta 0.3 0.4\n", encoding="utf-8")
+    v = Vocabulary.from_tokens(["alpha", "beta"])
+    m = load_glove(str(p), v, 2, np.random.default_rng(0)).matrix.data
+    np.testing.assert_array_equal(m[v.token_to_id["alpha"]],
+                                  np.array([0.1, 0.2], dtype=np.float32))
+
+
+def test_load_glove_later_line_wins_across_chunks(tmp_path):
+    from textmoe import data
+    n = 2 * data.GLOVE_CHUNK_LINES + 300
+    rng = np.random.default_rng(5)
+    rows = [(f"w{i}", rng.uniform(-1, 1, 3)) for i in range(n)]
+    # Only even tokens are kept. w10 comes again in the next chunk, w20
+    # again before its chunk is parsed.
+    rows.insert(n - 100, ("w10", [7.0, 8.0, 9.0]))
+    rows.insert(30, ("w20", [1.5, 2.5, 3.5]))
+    p = tmp_path / "vec.txt"
+    _write_vectors(p, rows)
+    v = Vocabulary.from_tokens(f"w{i}" for i in range(0, n, 2))
+    fast_rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    with mock.patch.object(data, "_load_glove_lines",
+                           wraps=data._load_glove_lines) as line_loop:
+        m = load_glove(str(p), v, 3, fast_rng).matrix.data
+    assert not line_loop.called
+    ref = data._load_glove_lines(str(p), v, 3, ref_rng).matrix.data
+    assert m.tobytes() == ref.tobytes()
+    assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert m[v.token_to_id["w10"]].tolist() == [7.0, 8.0, 9.0]
+    assert m[v.token_to_id["w20"]].tolist() == [1.5, 2.5, 3.5]
+
+
+def test_load_glove_draws_absent_rows_in_one_stream(tmp_path):
+    p = tmp_path / "vec.txt"
+    _write_vectors(p, [(f"k{i}", [0.25 * i, -0.5]) for i in range(0, 300, 3)])
+    v = Vocabulary.from_tokens(f"k{i}" for i in range(300))
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    m = load_glove(str(p), v, 2, rng).matrix.data
+    absent = [i for i in range(len(v)) if i < 2 or (i - 2) % 3]
+    assert len(absent) >= 100
+    # One uniform call per absent row, PAD and UNK included, in row order.
+    expected = [ref.uniform(-0.05, 0.05, size=2).astype(np.float32) for _ in absent]
+    expected[PAD_ID][:] = 0.0
+    assert m[absent].tobytes() == np.array(expected).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_load_glove_peak_memory_is_chunked(tmp_path):
+    # Almost 10 chunks of 2048 lines. Peak / matrix bytes measured on this
+    # file: 2.7 chunked, 6.4 with one small array per line and 16.6 with one
+    # loadtxt call over the whole file.
+    import tracemalloc
+    n, dim = 20_000, 8
+    rng = np.random.default_rng(2)
+    p = tmp_path / "vec.txt"
+    _write_vectors(p, [(f"w{i}", rng.uniform(-1, 1, dim)) for i in range(n)])
+    v = Vocabulary.from_tokens(f"w{i}" for i in range(n))
+    tracemalloc.start()
+    try:
+        table = load_glove(str(p), v, dim, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * table.matrix.data.nbytes
+
+
 # ------------------------------------------------------------------ datasets
 
 
@@ -229,6 +297,16 @@ def test_load_csv_missing_column(tmp_path):
     with pytest.raises(DataError, match="text"):
         load_csv_dataset(str(p), SENTIMENT, "text", "label", {"0": 0, "1": 1},
                          Lexicon(frozenset()), v)
+
+
+def test_load_csv_reads_a_byte_order_mark(tmp_path):
+    p = tmp_path / "data.csv"
+    p.write_text("\ufefftext,label\nhi there,1\n", encoding="utf-8")
+    v = Vocabulary.from_tokens(["hi", "there"])
+    ds = load_csv_dataset(str(p), SENTIMENT, "text", "label", {"0": 0, "1": 1},
+                          Lexicon(frozenset()), v)
+    assert ds.labels == [1]
+    assert ds.examples[0].token_ids == v.encode(["hi", "there"])
 
 
 def test_load_csv_unknown_label_reports_row(tmp_path):

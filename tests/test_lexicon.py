@@ -85,6 +85,18 @@ def test_plain_format_chinese_keeps_case(tmp_path):
     assert lex.terms == frozenset({"Sad"})
 
 
+def test_nrc_format_reads_a_byte_order_mark(tmp_path):
+    p = tmp_path / "emotions.tsv"
+    p.write_text("\ufeff" + TSV, encoding="utf-8")
+    assert load_nrc_lexicon(str(p)).terms == frozenset({"abandon", "gloomy", "outrage"})
+
+
+def test_plain_format_reads_a_byte_order_mark(tmp_path):
+    p = tmp_path / "terms.txt"
+    p.write_text("\ufeff# comment\nSad\n", encoding="utf-8")
+    assert load_plain_lexicon(str(p)).terms == frozenset({"sad"})
+
+
 def test_mark_tokens_alignment():
     lex = Lexicon(frozenset({"sad", "alone"}))
     bits = mark_tokens(lex, ["i", "feel", "sad", "and", "alone"])

@@ -2,8 +2,13 @@
 batch axes included), add, mul, l2_penalty, softmax, the masked
 reductions, embedding_lookup, concat_last, swap_axes, reshape and
 cross_entropy, each checked against central differences over shapes drawn
-by hypothesis; and dropout's survivor scaling.
+by hypothesis; dropout's survivor scaling; and load_glove against its line
+loop on small vector files.
 """
+
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +18,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import mutually_broadcastable_shapes  # noqa: E402
 
-from textmoe import Tensor  # noqa: E402
+from textmoe import ParseError, Tensor, Vocabulary, load_glove  # noqa: E402
+from textmoe import data as textmoe_data  # noqa: E402
 from textmoe.tensor import (  # noqa: E402
     add,
     concat_last,
@@ -171,3 +177,63 @@ def test_dropout_scales_survivors_and_zeroes_the_rest(shape, rate, seed):
     out = dropout(x, rate, training=True, rng=rng).data
     kept = out != 0.0
     np.testing.assert_allclose(out[kept], x.data[kept] / (1.0 - rate), rtol=1e-12)
+
+
+# Vocabulary tokens (PAD and UNK included) and two that are not in it.
+GLOVE_KEPT = ("a", "b", "c", "<pad>", "<unk>")
+GLOVE_TOKENS = st.sampled_from(GLOVE_KEPT + ("x", "y"))
+GLOVE_VALUES = st.one_of(
+    st.floats(-3.0, 3.0).map(repr),
+    st.floats(-3.0, 3.0).map("{:.4f}".format),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map("{:e}".format),
+    st.integers(10, 99).map(lambda k: f"{k // 10}_{k % 10}"),  # float() only
+)
+# A wrong count, then values float() rejects or that are not finite in
+# float32; "1\x1c" is one np.loadtxt alone accepts.
+GLOVE_CORRUPTIONS = st.sampled_from(["count", "oops", "nan", "1e39", "1\x1c"])
+
+
+@st.composite
+def vector_files(draw):
+    """(dim, file text, whether a kept line holds a value only float() reads)."""
+    dim = draw(st.integers(1, 3))
+    lines = draw(st.lists(st.tuples(GLOVE_TOKENS, st.lists(GLOVE_VALUES, min_size=dim,
+                                                           max_size=dim)),
+                          max_size=12))
+    corrupt = draw(st.none() | st.tuples(st.integers(0, 12), GLOVE_TOKENS,
+                                         GLOVE_CORRUPTIONS))
+    if corrupt:
+        at, token, kind = corrupt
+        values = ["0.5"] * dim + ["0.5"] if kind == "count" else ["0.5"] * (dim - 1) + [kind]
+        lines.insert(at, (token, values))
+    float_only = any(t in GLOVE_KEPT and "_" in " ".join(vs) for t, vs in lines)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(f"{t} {' '.join(vs)}{end}" for t, vs in lines)
+    return dim, draw(st.sampled_from(["", "\ufeff"])) + text, float_only
+
+
+def _glove_outcome(load, path, vocab, dim):
+    rng = np.random.default_rng(3)
+    try:
+        result = load(path, vocab, dim, rng).matrix.data.tobytes()
+    except ParseError as e:
+        result = str(e)
+    return result, rng.bit_generator.state
+
+
+@FEW
+@given(case=vector_files())
+def test_load_glove_matches_the_line_loop(case):
+    dim, text, float_only = case
+    vocab = Vocabulary.from_tokens(GLOVE_KEPT[:3])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "vec.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with mock.patch.object(textmoe_data, "_load_glove_lines",
+                               wraps=textmoe_data._load_glove_lines) as line_loop:
+            fast = _glove_outcome(load_glove, path, vocab, dim)
+        reference = _glove_outcome(textmoe_data._load_glove_lines, path, vocab, dim)
+    assert fast == reference
+    # The line loop runs only to name a bad line or read a value loadtxt cannot.
+    assert line_loop.called == (isinstance(reference[0], str) or float_only)
