@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .ablation import ALL_VARIANTS, DataBundle, build_model, ratio_sweep, run_ablation
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import (
     RunConfig,
     load_run_config,
@@ -91,14 +91,34 @@ def load_bundle(cfg: RunConfig) -> DataBundle:
     )
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> None:
+def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, str, DataBundle]:
+    """The config with the flag overrides applied, the created output
+    directory and the data bundle: what every run command starts from."""
+    cfg = load_run_config(args.config)
     for attr in ("seed", "max_epochs", "batch_size", "learning_rate"):
-        value = getattr(args, attr, None)
+        value = getattr(args, attr)
         if value is not None:
             setattr(cfg.train, attr, value)
-    if getattr(args, "ratio", None) is not None:
+    if args.ratio is not None:
         cfg.train.ratio = parse_ratio(args.ratio)
     cfg.validate()
+    out_dir = resolve_output_dir(args.out, cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    return cfg, out_dir, load_bundle(cfg)
+
+
+def _open_checkpoint(args: argparse.Namespace) -> Checkpoint:
+    """The checkpoint named on the command line, if it has the asked task."""
+    ckpt = load_checkpoint(args.checkpoint)
+    if args.task not in ckpt.label_names:
+        raise ConfigError(f"task {args.task!r} not in checkpoint "
+                          f"(has: {sorted(ckpt.label_names)})")
+    return ckpt
+
+
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    with atomic_open(os.path.join(out_dir, name), encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _label_names(cfg: RunConfig) -> dict[str, list[str]]:
@@ -106,12 +126,7 @@ def _label_names(cfg: RunConfig) -> dict[str, list[str]]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    _apply_overrides(cfg, args)
-    out_dir = resolve_output_dir(args.out, cfg)
-    os.makedirs(out_dir, exist_ok=True)
-
-    bundle = load_bundle(cfg)
+    cfg, out_dir, bundle = _prepare_run(args)
     model = build_model(bundle, cfg.model_config(len(bundle.vocab)), cfg.seed)
     report = fit(model, bundle.sentiment, bundle.depression, cfg.train_config(),
                  on_epoch=lambda r: print(r.log_line()))
@@ -119,22 +134,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     ckpt_path = save_checkpoint(os.path.join(out_dir, "model.npz"), model,
                                 bundle.vocab, bundle.lexicon, _label_names(cfg),
                                 cfg.language, cfg.text_column, cfg.label_column)
-    with atomic_open(os.path.join(out_dir, "train_log.txt"), encoding="utf-8") as fh:
-        fh.write("\n".join(report.log_lines()) + "\n")
+    _write_text(out_dir, "train_log.txt", "\n".join(report.log_lines()) + "\n")
     final = evaluate(model, bundle.eval_set, DEPRESSION, cfg.train.batch_size)
     record = report_record(final)
-    with atomic_open(os.path.join(out_dir, "metrics.txt"), encoding="utf-8") as fh:
-        fh.write(record)
+    _write_text(out_dir, "metrics.txt", record)
     print(record, end="")
     print(f"checkpoint: {ckpt_path}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    if args.task not in ckpt.label_names:
-        raise ConfigError(f"task {args.task!r} not in checkpoint "
-                          f"(has: {sorted(ckpt.label_names)})")
+    ckpt = _open_checkpoint(args)
     label_map = {name: i for i, name in enumerate(ckpt.label_names[args.task])}
     dataset = load_csv_dataset(
         args.dataset, args.task,
@@ -149,10 +159,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
-    if args.task not in ckpt.label_names:
-        raise ConfigError(f"task {args.task!r} not in checkpoint "
-                          f"(has: {sorted(ckpt.label_names)})")
+    ckpt = _open_checkpoint(args)
     names = ckpt.label_names[args.task]
     lines = (line.rstrip("\n") for line in sys.stdin)
     # Chunks bound memory by the chunk, not by the input; infer groups each
@@ -168,34 +175,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    _apply_overrides(cfg, args)
-    out_dir = resolve_output_dir(args.out, cfg)
-    os.makedirs(out_dir, exist_ok=True)
-
-    bundle = load_bundle(cfg)
+    cfg, out_dir, bundle = _prepare_run(args)
     model_cfg = cfg.model_config(len(bundle.vocab))
     rows = []
     for variant in ALL_VARIANTS:
         report = run_ablation(variant, bundle, model_cfg, cfg.train_config())
         rows.append((variant.value, report))
     table = metrics_table(rows, label="variant")
-    with atomic_open(os.path.join(out_dir, "ablation.txt"), encoding="utf-8") as fh:
-        fh.write(table)
+    _write_text(out_dir, "ablation.txt", table)
     print(table, end="")
     return 0
 
 
 def cmd_ratio_sweep(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config)
-    _apply_overrides(cfg, args)
-    out_dir = resolve_output_dir(args.out, cfg)
-    os.makedirs(out_dir, exist_ok=True)
-
     ratios = [parse_ratio(r) for r in args.ratios.split(",") if r.strip()]
     if not ratios:
         raise ConfigError("no ratios given")
-    bundle = load_bundle(cfg)
+    cfg, out_dir, bundle = _prepare_run(args)
     results = ratio_sweep(ratios, bundle, cfg.model_config(len(bundle.vocab)),
                           cfg.train_config())
     rows = [(f"{rs}:{rd}", report) for (rs, rd), report in results]
@@ -204,10 +200,8 @@ def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     for (rs, rd), report in results:
         x = rs / rd if rd else math.inf
         plot_lines.append(f"{x:g} {report.macro_f1!r}")
-    with atomic_open(os.path.join(out_dir, "ratio_sweep.txt"), encoding="utf-8") as fh:
-        fh.write(table)
-    with atomic_open(os.path.join(out_dir, "ratio_sweep.dat"), encoding="utf-8") as fh:
-        fh.write("\n".join(plot_lines) + "\n")
+    _write_text(out_dir, "ratio_sweep.txt", table)
+    _write_text(out_dir, "ratio_sweep.dat", "\n".join(plot_lines) + "\n")
     print(table, end="")
     return 0
 
@@ -224,9 +218,8 @@ def cmd_init(args: argparse.Namespace) -> int:
               dataset_rows(synth.depression, synth.vocab))
     write_csv(os.path.join(out, "depression_test.csv"),
               dataset_rows(synth.depression_test, synth.vocab))
-    with atomic_open(os.path.join(out, "lexicon.txt"), encoding="utf-8") as fh:
-        fh.write("# negative-marker terms, one per line\n")
-        fh.write("\n".join(sorted(synth.lexicon.terms)) + "\n")
+    _write_text(out, "lexicon.txt", "# negative-marker terms, one per line\n"
+                + "\n".join(sorted(synth.lexicon.terms)) + "\n")
 
     word_dim = 24
     rng = np.random.default_rng([args.seed, 99])

@@ -170,8 +170,8 @@ def _holder(cfg: RunConfig, section: str):
 def load_run_config(path: str, validate: bool = True) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path, encoding="utf-8")
-    except configparser.Error as e:
+        read = parser.read(path, encoding="utf-8-sig")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from e
     if not read:
         raise ConfigError(f"cannot read config file: {path}")

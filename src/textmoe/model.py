@@ -17,8 +17,8 @@ matrix. All heads are projected by one matmul and attend as one batch of
 shape (batch, num_heads, seq_len, head_dim); the head outputs are merged
 back in head order before the output projection ``wo``.
 
-Ops accept a single sequence (seq_len, model_dim) or a batch
-(batch, seq_len, model_dim); masks carry True for real positions.
+Layers take a batch (batch, seq_len, model_dim) with a (batch, seq_len)
+mask that is True at real positions; a single sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -201,11 +201,7 @@ def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
                    training: bool = False, dropout_rate: float = 0.0,
                    rng: np.random.Generator | None = None,
                    scale_mode: str = "dim") -> Tensor:
-    """x (..., s, model_dim) -> (..., ff2_out)."""
-    single = x.ndim == 2
-    if single:
-        x = reshape(x, (1, *x.shape))
-        mask = np.asarray(mask)[None]
+    """x (b, s, model_dim) -> (b, ff2_out)."""
     b, s, d = x.shape
     split = (b, s, unit.num_heads, d // unit.num_heads)
     q, k, v = (swap_axes(reshape(matmul(x, w), split), 1, 2)  # (b, H, s, d/H)
@@ -218,18 +214,12 @@ def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
     pooled = concat_last([masked_max(h, mask), masked_mean(h, mask)])
     z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
     z = add(matmul(z, unit.w2b), unit.b2b)             # (b, ff2_out)
-    z = dropout(z, dropout_rate, training, rng)
-    return reshape(z, (z.shape[-1],)) if single else z
+    return dropout(z, dropout_rate, training, rng)
 
 
 def gate_weights(w_gn: Tensor, x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of unmasked embedding rows through w_gn, softmaxed: (..., experts)."""
-    single = x.ndim == 2
-    if single:
-        x = reshape(x, (1, *x.shape))
-        mask = np.asarray(mask)[None]
-    w = softmax(matmul(masked_mean(x, mask), w_gn))
-    return reshape(w, (w.shape[-1],)) if single else w
+    """Mean of unmasked rows of x (b, s, d) through w_gn, softmaxed: (b, experts)."""
+    return softmax(matmul(masked_mean(x, mask), w_gn))
 
 
 # -------------------------------------------------------------------- model
@@ -323,6 +313,8 @@ class MoeClassifier:
         twice its length. Each bucket keeps input order and is forwarded in
         slices of at most ``batch_size`` examples.
         """
+        if batch_size < 1:
+            raise UsageError(f"batch_size must be >= 1, got {batch_size}")
         _, b = self.heads[self.task_index(task_id)]
         out = np.empty((len(examples), b.shape[0]), dtype=b.dtype)
         buckets: dict[int, list[int]] = {}

@@ -113,33 +113,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Operator sugar. Scalars go through scale/shift; tensors through the
-    # broadcasting ops below.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return shift(self, -float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
@@ -269,16 +242,6 @@ def scale(x: Tensor, c: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         _accum(x, g * c)
-
-    return _from_op(out, (x,), backward)
-
-
-def shift(x: Tensor, c: float) -> Tensor:
-    """x + scalar constant."""
-    out = x.data + c
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, g)
 
     return _from_op(out, (x,), backward)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DEPRESSION, SENTIMENT, TaskDataset
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged, UsageError
 # evaluate, mul, scale and sum_all are unused here, but perfbench/spans.py
 # wraps each by its name in this module, so they stay.
 from .metrics import MetricsReport, evaluate, metrics  # noqa: F401
@@ -200,6 +200,8 @@ def dataset_ce(model, ds: TaskDataset,
                batch_size: int = 256) -> tuple[float, MetricsReport]:
     """Mean eval-mode cross-entropy over a dataset (no L2 term) and the
     metrics of its argmax predictions, from one forward per batch."""
+    if batch_size < 1:
+        raise UsageError(f"batch_size must be >= 1, got {batch_size}")
     total = 0.0
     preds: list[int] = []
     # Input-order batches, not length buckets: the loss drives LR decay and

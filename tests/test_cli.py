@@ -11,7 +11,7 @@ import pytest
 
 from textmoe import cli
 from textmoe.checkpoint import load_checkpoint
-from textmoe.config import RunConfig
+from textmoe.config import RunConfig, load_run_config
 from textmoe.cli import PREDICT_CHUNK_LINES, main
 from textmoe.metrics import parse_record
 
@@ -249,6 +249,24 @@ def test_eval_reads_a_byte_order_mark(workspace, tmp_path, capsys):
     plain = capsys.readouterr().out
     assert main(["eval", model, str(bom)]) == 0
     assert capsys.readouterr().out == plain
+
+
+def test_config_reads_a_byte_order_mark(tmp_path, capsys):
+    assert main(["init", str(tmp_path), "--n-per-task", "40",
+                 "--vocab-size", "30"]) == 0
+    capsys.readouterr()
+    plain = tmp_path / "config.ini"
+    bom = tmp_path / "bom.ini"
+    bom.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_run_config(str(bom)) == load_run_config(str(plain))
+
+
+def test_config_that_is_not_utf8_exits_2(workspace, tmp_path, capsys):
+    text = (workspace["data"] / "config.ini").read_text(encoding="utf-8")
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(("# caf\u00e9\n" + text).encode("latin-1"))
+    assert main(["train", str(ini)]) == 2
+    assert str(ini) in capsys.readouterr().err
 
 
 def test_vocabulary_csv_reads_a_byte_order_mark(tmp_path):

@@ -235,9 +235,9 @@ def test_expert_forward_shapes_and_single_sequence():
     batched = expert_forward(unit, Tensor(x), mask)
     assert batched.shape == (3, cfg.ff2_out)
 
-    single = expert_forward(unit, Tensor(x[1, :3]), mask[1, :3])
-    assert single.shape == (cfg.ff2_out,)
-    np.testing.assert_allclose(single.data, batched.data[1], atol=1e-5)
+    single = expert_forward(unit, Tensor(x[1:2, :3]), mask[1:2, :3])
+    assert single.shape == (1, cfg.ff2_out)
+    np.testing.assert_allclose(single.data[0], batched.data[1], atol=1e-5)
 
 
 def _per_head_expert(unit, x, mask, scale_mode):
@@ -289,11 +289,12 @@ def test_expert_forward_ignores_padding_rows():
     cfg = tiny_config()
     unit = ExpertUnit(cfg, _Init(np.random.default_rng(7), np.float32))
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(2, cfg.model_dim)).astype(np.float32)
-    short = expert_forward(unit, Tensor(x), np.array([True, True]))
-    padded_x = np.vstack([x, rng.normal(size=(2, cfg.model_dim)).astype(np.float32)])
+    x = rng.normal(size=(1, 2, cfg.model_dim)).astype(np.float32)
+    short = expert_forward(unit, Tensor(x), np.array([[True, True]]))
+    padded_x = np.concatenate(
+        [x, rng.normal(size=(1, 2, cfg.model_dim)).astype(np.float32)], axis=1)
     long = expert_forward(unit, Tensor(padded_x),
-                          np.array([True, True, False, False]))
+                          np.array([[True, True, False, False]]))
     np.testing.assert_allclose(short.data, long.data, atol=1e-5)
 
 
@@ -606,6 +607,22 @@ def test_infer_empty_input_and_errors():
         model.infer(lines_of(np.random.default_rng(0), [3, 129]), DEPRESSION)
     with pytest.raises(ConfigError):
         model.infer(lines_of(np.random.default_rng(0), [3]), "nope")
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+@pytest.mark.parametrize("call", ["infer", "predict", "evaluate", "dataset_ce"])
+def test_eval_batch_size_below_one_is_a_usage_error(call, batch_size):
+    # Unchecked, 0 fails inside range() and -3 returns an unwritten buffer
+    # as logits, which evaluate then scores.
+    model = tiny_model(seed=40)
+    batch = example_batch(np.random.default_rng(41), 3)
+    ds = TaskDataset(DEPRESSION, [Example(ids, bits, 0) for ids, bits in batch], 2)
+    calls = {"infer": lambda: model.infer(batch, DEPRESSION, batch_size),
+             "predict": lambda: model.predict(batch, DEPRESSION, batch_size),
+             "evaluate": lambda: evaluate(model, ds, DEPRESSION, batch_size),
+             "dataset_ce": lambda: dataset_ce(model, ds, batch_size)}
+    with pytest.raises(UsageError, match="batch_size"):
+        calls[call]()
 
 
 def _peak_bytes(fn) -> int:

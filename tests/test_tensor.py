@@ -25,7 +25,6 @@ from textmoe.tensor import (
     relu,
     reshape,
     scale,
-    shift,
     slice_last,
     softmax,
     sum_all,
@@ -73,18 +72,6 @@ def test_backward_without_a_graph_is_a_usage_error():
     with pytest.raises(UsageError, match="no graph"):
         sum_all(Tensor(np.ones(2))).backward()
     assert w.grad is None
-
-
-def test_operator_sugar():
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(2, 3)))
-    y = Tensor(rng.normal(size=(2, 3)))
-    np.testing.assert_allclose((x + y).data, x.data + y.data, rtol=1e-6)
-    np.testing.assert_allclose((x - y).data, x.data - y.data, rtol=1e-6)
-    np.testing.assert_allclose((x * y).data, x.data * y.data, rtol=1e-6)
-    np.testing.assert_allclose((x + 2.0).data, x.data + 2.0, rtol=1e-6)
-    np.testing.assert_allclose((3.0 * x).data, 3.0 * x.data, rtol=1e-6)
-    np.testing.assert_allclose((-x).data, -x.data)
 
 
 # ------------------------------------------------------------ matmul oracle
@@ -277,8 +264,7 @@ def test_grad_scale_shift_addconst(gradcheck):
     rng = np.random.default_rng(8)
     x = rand_tensor(rng, (3, 2))
     c = rng.normal(size=(3, 2))
-    gradcheck(lambda: sum_all(mul(shift(scale(x, -1.7), 0.3),
-                                  add_const(x, c))), [x])
+    gradcheck(lambda: sum_all(mul(scale(x, -1.7), add_const(x, c))), [x])
 
 
 def test_grad_relu_away_from_kink(gradcheck):

@@ -339,22 +339,26 @@ def test_fit_forwards_validation_once_per_epoch(monkeypatch):
 
 
 def test_training_loss_graph_size_at_acceptance_shape():
-    # One node for the L2 term, not three per parameter: 185 nodes before.
-    cfg = ModelConfig(vocab_size=10, **ACCEPT_DIMS)
-    rng = np.random.default_rng(0)
-    vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
-    model = MoeClassifier(cfg, EmbeddingTable.random(vocab, cfg.word_dim, rng), rng)
-    batch = make_dataset(DEPRESSION, 4, seed=25).examples
-    logits = model.forward(batch, DEPRESSION, training=True, rng=rng)
-    loss = compute_loss(logits, np.array([ex.label for ex in batch]),
-                        model.parameters(), lambda_l2=1e-4)
-    seen, stack = set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._parents)
-    assert len(seen) <= 102
+    # One node for the L2 term, not three per parameter: 185 nodes before
+    # at ACCEPT_DIMS and 335 at the paper shape.
+    paper = dict(word_dim=300, marker_dim=100, num_heads=4, num_experts=4,
+                 ff1_dim=400, ff2_hidden=200, ff2_out=200, dropout=0.1)
+    for dims, bound in ((ACCEPT_DIMS, 102), (paper, 192)):
+        cfg = ModelConfig(vocab_size=10, **dims)
+        rng = np.random.default_rng(0)
+        vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
+        model = MoeClassifier(cfg, EmbeddingTable.random(vocab, cfg.word_dim, rng), rng)
+        batch = make_dataset(DEPRESSION, 4, seed=25).examples
+        logits = model.forward(batch, DEPRESSION, training=True, rng=rng)
+        loss = compute_loss(logits, np.array([ex.label for ex in batch]),
+                            model.parameters(), lambda_l2=1e-4)
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert len(seen) <= bound, dims
 
 
 def test_fit_early_stop_and_lr_decay():
