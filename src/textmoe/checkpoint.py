@@ -11,15 +11,27 @@ column block h. Format 1 stored one (model_dim, head_dim) matrix per head,
 ``expert{e}.h{h}.w{q,k,v}``; such archives still load, their head matrices
 joined into the format 2 layout.
 
-Entries are stored uncompressed, as ``np.savez`` writes them; loading
-reads each one into place and checks its CRC-32. A compressed archive
-is not a checkpoint.
+Entries are stored uncompressed, each local header padded with one
+extra-field record (ID 0xD935, as zipalign writes) so that the entry's
+.npy data starts at a multiple of 64 bytes in the file; numpy pads the
+.npy header to 64 as well, so the array data is 64-byte aligned too.
+Loading maps the file copy-on-write: an aligned entry becomes a view of
+the mapping, and any other entry (``np.savez`` puts most of its entries
+at arbitrary offsets) is read into one shared buffer. Every entry's CRC-32
+is checked either way. A compressed archive is not a checkpoint.
+
+A loaded parameter is private: writing to it never reaches the file. The
+mapping does see the file, though, so truncating or rewriting a loaded
+checkpoint in place can change the loaded weights or kill the process
+with SIGBUS. ``save_checkpoint`` replaces the file with a new one, so it
+never does that to a process that has the old one loaded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import struct
 import zipfile
 import zlib
@@ -35,6 +47,8 @@ from .tensor import Tensor
 
 FORMAT_VERSION = 2
 _PARAM = "param/"
+_ALIGN = 64
+_PAD_ID = 0xD935  # zipalign's extra-field ID for alignment padding
 
 
 @dataclass
@@ -66,10 +80,19 @@ def save_checkpoint(path: str, model: MoeClassifier, vocab: Vocabulary,
         "text_column": text_column,
         "label_column": label_column,
     }
-    arrays = {_PARAM + name: t.data for name, t in model.named_parameters()}
-    # np.savez appends ".npz" to a path without it, so it gets the open file.
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, meta=np.asarray(json.dumps(meta)), **arrays)
+    arrays = {"meta": np.asarray(json.dumps(meta))}
+    arrays.update((_PARAM + name, t.data) for name, t in model.named_parameters())
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+        for name, array in arrays.items():
+            # ZipInfo's default timestamp is np.savez's fixed 1980 one.
+            info = zipfile.ZipInfo(name + ".npy")
+            # The local header: 30 fixed bytes, the name, the padding record
+            # (at least 6 bytes) and the 20-byte zip64 record force_zip64 adds.
+            end = fh.tell() + 30 + len(info.filename.encode()) + 6 + 20
+            pad = -end % _ALIGN
+            info.extra = struct.pack("<HHH", _PAD_ID, 2 + pad, _ALIGN) + bytes(pad)
+            with zf.open(info, "w", force_zip64=True) as entry:
+                np.lib.format.write_array(entry, array, allow_pickle=False)
     return path
 
 
@@ -84,12 +107,12 @@ def _join_heads(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> None:
 def _padded(size: int) -> int:
     """``size`` rounded up to 64, the alignment of each parameter in the
     load buffer."""
-    return -(-size // 64) * 64
+    return -(-size // _ALIGN) * _ALIGN
 
 
-def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[bytes, np.dtype, tuple, str]:
-    """The .npy header, dtype, shape and order of a stored archive entry,
-    with ``fh`` left at the start of its array data."""
+def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[bytes, int, np.dtype, tuple, str]:
+    """The .npy header, array data offset, dtype, shape and order of a
+    stored archive entry."""
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"{info.filename}: compressed entries are not supported")
     fh.seek(info.header_offset)
@@ -111,16 +134,18 @@ def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[bytes, np.dtype, tuple, st
     if header_len + math.prod(shape) * dtype.itemsize != info.file_size:
         raise ValueError(f"{info.filename}: size does not match its .npy header")
     fh.seek(start)
-    return fh.read(header_len), dtype, shape, "F" if fortran else "C"
+    return fh.read(header_len), start + header_len, dtype, shape, "F" if fortran else "C"
 
 
 def _read_archive(path: str) -> tuple[str, dict[str, np.ndarray]]:
     """The meta text and parameter arrays of the archive at ``path``.
 
-    Each entry is read straight from the file and checked against its
-    CRC-32; the parameters share one buffer. One large allocation and no
-    staging copies keep a load cheap in a process that has no freed
-    memory to reuse.
+    The file is mapped copy-on-write. An entry whose array data starts at a
+    64-byte file offset becomes a view of the mapping; any other parameter
+    is read straight from the file into one shared buffer, so one large
+    allocation and no staging copies keep a load cheap in a process that
+    has no freed memory to reuse. Every entry is checked against its
+    CRC-32 before use.
 
     A file that is not an .npz archive of plain stored arrays, or whose
     entry fails its checksum, raises UsageError; a missing or unreadable
@@ -131,18 +156,26 @@ def _read_archive(path: str) -> tuple[str, dict[str, np.ndarray]]:
             entries = {info.filename.removesuffix(".npy"): info for info in zf.infolist()}
             if "meta" not in entries:
                 raise UsageError(f"{path}: not a checkpoint: no meta entry")
-            buf = np.empty(sum(_padded(info.file_size) for name, info in entries.items()
-                               if name.startswith(_PARAM)), np.uint8)
-            found, at = {}, 0
+            layouts = {name: _entry_layout(fh, info) for name, info in entries.items()}
+            mapped = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY), np.uint8)
+            buf = np.empty(sum(_padded(entries[name].file_size)
+                               for name, (_, at, *_) in layouts.items()
+                               if at % _ALIGN and name.startswith(_PARAM)), np.uint8)
+            found, used = {}, 0
             for name, info in entries.items():
-                header, dtype, shape, order = _entry_layout(fh, info)
+                header, at, dtype, shape, order = layouts[name]
                 size = info.file_size - len(header)
-                if name.startswith(_PARAM):
-                    data, at = buf[at:at + size], at + _padded(size)
-                else:
-                    data = np.empty(size, np.uint8)
-                if fh.readinto(data) != size:
+                if at + size > mapped.size:
                     raise EOFError(f"{info.filename}: truncated")
+                if at % _ALIGN == 0:
+                    data = mapped[at:at + size]
+                else:
+                    if name.startswith(_PARAM):
+                        data, used = buf[used:used + size], used + _padded(size)
+                    else:
+                        data = np.empty(size, np.uint8)
+                    fh.seek(at)
+                    fh.readinto(data)
                 if zlib.crc32(data, zlib.crc32(header)) != info.CRC:
                     raise zipfile.BadZipFile(f"{info.filename}: CRC-32 mismatch")
                 found[name] = data.view(dtype).reshape(shape, order=order)

@@ -200,6 +200,8 @@ def dataset_ce(model, ds: TaskDataset,
                batch_size: int = 256) -> tuple[float, MetricsReport]:
     """Mean eval-mode cross-entropy over a dataset (no L2 term) and the
     metrics of its argmax predictions, from one forward per batch."""
+    if len(ds) == 0:
+        raise UsageError("dataset_ce: empty dataset")
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
     total = 0.0

@@ -1,8 +1,11 @@
 """Checkpoint save/load: bit-exact round trips and format guards."""
 
 import json
+import mmap
 import struct
+import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +85,39 @@ def rewrite_meta(path, edit):
     np.savez(path, **payload)
 
 
+def is_mapped(array):
+    """Whether ``array`` is a view of a file mapping."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
+
+
+def data_offsets(path):
+    """File offset of each entry's array data, by entry name."""
+    offsets = {}
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+        for info in zf.infolist():
+            fh.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            fh.seek(info.header_offset + 30 + name_len + extra_len)
+            if np.lib.format.read_magic(fh) == (1, 0):
+                np.lib.format.read_array_header_1_0(fh)
+            else:
+                np.lib.format.read_array_header_2_0(fh)
+            offsets[info.filename.removesuffix(".npy")] = fh.tell()
+    return offsets
+
+
+def flip_last_data_byte(path, entry):
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(entry + ".npy")
+    raw = bytearray(Path(path).read_bytes())
+    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:
+                                                   info.header_offset + 30])
+    raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 1] ^= 0x40
+    Path(path).write_bytes(bytes(raw))
+
+
 def test_rejects_unknown_version(tmp_path):
     model, vocab, lexicon, names = build()
     path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
@@ -135,11 +171,11 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
     other, *_ = build(seed=3)
 
-    def broken_savez(file, **arrays):
+    def broken_write_array(file, array, **kwargs):
         file.write(b"PK\x03\x04 partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savez", broken_savez)
+    monkeypatch.setattr(np.lib.format, "write_array", broken_write_array)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, other, vocab, lexicon, names)
     monkeypatch.undo()
@@ -152,11 +188,13 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
 
 def test_loaded_parameters_are_writable_aligned_views(tmp_path):
-    # Loading reads every parameter into one buffer; training a loaded
-    # model updates them in place.
+    # Every entry's data starts at a 64-byte offset, so loading maps every
+    # parameter copy-on-write; training a loaded model updates them in place.
     model, vocab, lexicon, names = build(seed=6)
     path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    assert all(at % 64 == 0 for at in data_offsets(path).values())
     for name, t in load_checkpoint(path).model.named_parameters():
+        assert is_mapped(t.data), name
         assert t.data.flags.writeable and t.data.flags.aligned, name
         assert t.data.dtype == np.float32 and t.data.flags.c_contiguous, name
 
@@ -171,24 +209,114 @@ def test_fortran_order_entry_loads(tmp_path):
     np.testing.assert_array_equal(loaded.data, model.experts[0].w1.data)
 
 
-def test_flipped_data_byte_fails_the_checksum(tmp_path):
-    model, vocab, lexicon, names = build(seed=8)
-    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
-    with zipfile.ZipFile(path) as zf:
-        info = zf.getinfo("param/embedding.npy")
-    raw = bytearray((tmp_path / "m.npz").read_bytes())
-    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:
-                                                   info.header_offset + 30])
-    last = info.header_offset + 30 + name_len + extra_len + info.file_size - 1
-    raw[last] ^= 0x40
-    (tmp_path / "m.npz").write_bytes(bytes(raw))
-    with pytest.raises(UsageError, match="CRC"):
-        load_checkpoint(path)
-
-
 def test_compressed_archive_is_usage_error(tmp_path):
     model, vocab, lexicon, names = build(seed=9)
     path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
     np.savez_compressed(path, **read_archive(path))
     with pytest.raises(UsageError, match="compressed"):
         load_checkpoint(path)
+
+
+# ------------------------------------------------------------ mapped loading
+
+
+def test_savez_archive_copies_its_unaligned_entries(tmp_path):
+    # np.savez places entries wherever the previous one ended; a parameter
+    # is mapped exactly when its data happens to start on a 64-byte boundary.
+    model, vocab, lexicon, names = build(seed=10)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    np.savez(path, **read_archive(path))
+    offsets = data_offsets(path)
+    params = load_checkpoint(path).model.named_parameters()
+    for name, t in params:
+        assert is_mapped(t.data) == (offsets["param/" + name] % 64 == 0), name
+    assert sum(not is_mapped(t.data) for _, t in params) > len(params) // 2
+
+
+def test_mapped_and_copied_loads_give_equal_logits(tmp_path):
+    model, vocab, lexicon, names = build(seed=11)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    mapped = load_checkpoint(path).model
+    # A new file: rewriting the mapped one in place would change ``mapped``.
+    np.savez(tmp_path / "copy.npz", **read_archive(path))
+    copied = load_checkpoint(str(tmp_path / "copy.npz")).model
+    assert not is_mapped(copied.embedding.matrix.data)
+    batch = [([2, 3, 4], [1, 0, 0]), ([5, 6], [0, 1])]
+    for task in (SENTIMENT, DEPRESSION):
+        np.testing.assert_array_equal(mapped.forward(batch, task).data,
+                                      copied.forward(batch, task).data)
+
+
+def test_writes_to_a_loaded_parameter_stay_private(tmp_path):
+    model, vocab, lexicon, names = build(seed=12)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    saved = (tmp_path / "m.npz").read_bytes()
+    loaded = load_checkpoint(path).model
+    for _, t in loaded.named_parameters():
+        t.data += 1.0
+    assert (tmp_path / "m.npz").read_bytes() == saved
+    for (name, a), (_, b) in zip(model.named_parameters(),
+                                 load_checkpoint(path).model.named_parameters()):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+@pytest.mark.parametrize("entry", ["meta", "param/expert1.wo", "param/embedding"])
+@pytest.mark.parametrize("rewrite", [False, True], ids=["mapped", "copied"])
+def test_flipped_data_byte_fails_the_checksum(tmp_path, entry, rewrite):
+    model, vocab, lexicon, names = build(seed=13)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    if rewrite:
+        np.savez(path, **read_archive(path))
+    # The mapped path takes entries at 64-byte offsets, the copying path the rest.
+    assert (data_offsets(path)[entry] % 64 == 0) != rewrite
+    flip_last_data_byte(path, entry)
+    with pytest.raises(UsageError, match="CRC"):
+        load_checkpoint(path)
+
+
+def test_truncated_inside_the_embedding_is_usage_error(tmp_path):
+    model, vocab, lexicon, names = build(seed=14)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    at = data_offsets(path)["param/embedding"]
+    whole = (tmp_path / "m.npz").read_bytes()
+    (tmp_path / "m.npz").write_bytes(whole[:at + model.embedding.matrix.data.nbytes // 2])
+    with pytest.raises(UsageError, match="not a checkpoint"):
+        load_checkpoint(path)
+
+
+def test_new_checkpoint_is_a_valid_npz(tmp_path):
+    model, vocab, lexicon, names = build(seed=15)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    with zipfile.ZipFile(path) as zf:
+        assert zf.testzip() is None
+    payload = read_archive(path)
+    assert json.loads(str(payload["meta"][()]))["version"] == 2
+    for name, t in model.named_parameters():
+        np.testing.assert_array_equal(payload["param/" + name], t.data, err_msg=name)
+
+
+def test_saves_are_byte_identical(tmp_path):
+    model, vocab, lexicon, names = build(seed=16)
+    a = save_checkpoint(str(tmp_path / "a.npz"), model, vocab, lexicon, names)
+    b = save_checkpoint(str(tmp_path / "b.npz"), model, vocab, lexicon, names)
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def test_load_allocates_less_than_the_embedding(tmp_path):
+    # The embedding holds most of the bytes here; copying it into a buffer
+    # alone would trace its full size.
+    cfg = ModelConfig(vocab_size=8002, word_dim=300, marker_dim=4, num_heads=2,
+                      ff1_dim=8, ff2_hidden=4, ff2_out=3, num_experts=1)
+    rng = np.random.default_rng(17)
+    vocab = Vocabulary.from_tokens(f"w{i}" for i in range(8000))
+    model = MoeClassifier(cfg, EmbeddingTable.random(vocab, 300, rng), rng)
+    _, _, lexicon, names = build()
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    embedding_bytes = model.embedding.matrix.data.nbytes
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < embedding_bytes / 2, (peak, embedding_bytes)

@@ -17,6 +17,7 @@ from textmoe import (
     Tensor,
     TrainConfig,
     TrainingDiverged,
+    UsageError,
     compute_loss,
     fit,
     schedule_epoch,
@@ -317,6 +318,12 @@ def test_dataset_ce_report_matches_evaluate():
     loss, report = dataset_ce(model, ds, batch_size=8)
     assert math.isfinite(loss)
     assert report == evaluate(model, ds, DEPRESSION, batch_size=8)
+
+
+def test_dataset_ce_rejects_empty_dataset():
+    # Unchecked, the mean loss divides by zero.
+    with pytest.raises(UsageError, match="empty dataset"):
+        dataset_ce(small_model(seed=11), TaskDataset(DEPRESSION, [], 2))
 
 
 def test_fit_forwards_validation_once_per_epoch(monkeypatch):
