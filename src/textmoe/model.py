@@ -17,8 +17,15 @@ matrix. All heads are projected by one matmul and attend as one batch of
 shape (batch, num_heads, seq_len, head_dim); the head outputs are merged
 back in head order before the output projection ``wo``.
 
-Layers take a batch (batch, seq_len, model_dim) with a (batch, seq_len)
-mask that is True at real positions; a single sequence is a batch of one.
+A batch is padded to its longest sequence, with a (batch, seq_len) mask
+that is True at real positions; a single sequence is a batch of one. The
+token-wise layers run on packed rows, only the real positions of the
+mask in row-major order, as one (tokens, dim) matrix: the embedding
+lookup, the query/key/value projections, ``wo`` and its dropout, and the
+``w1`` product. Attention, the ``b1``/relu/dropout/pooling tail and the
+gate see the padded (batch, [heads,] seq_len, ·) layout, with zeros at
+padded positions. Dropout on packed rows draws its mask at the padded
+shape, so training draws the random numbers a padded batch would.
 """
 
 from __future__ import annotations
@@ -50,7 +57,8 @@ from .tensor import (  # noqa: F401
     scale,
     slice_last,
     softmax,
-    swap_axes,
+    to_packed,
+    to_padded,
     transpose_last,
 )
 
@@ -122,9 +130,11 @@ class _Init:
     def weight(self, fan_in: int, fan_out: int, blocks: int = 1) -> Tensor:
         """(fan_in, blocks * fan_out); each column block is drawn in turn
         as its own Xavier-uniform (fan_in, fan_out) matrix. With no rng the
-        weight is left uninitialised, for a saved state to replace."""
+        weight is a read-only zero placeholder of that shape and dtype that
+        allocates no buffer of its size, for a saved state to replace."""
         if self.rng is None:
-            return Tensor(np.empty((fan_in, blocks * fan_out), dtype=self.dtype),
+            zero = np.zeros((), dtype=self.dtype)
+            return Tensor(np.broadcast_to(zero, (fan_in, blocks * fan_out)),
                           requires_grad=True)
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = self.rng.uniform(-limit, limit, size=(blocks, fan_in, fan_out))
@@ -201,15 +211,16 @@ def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
                    training: bool = False, dropout_rate: float = 0.0,
                    rng: np.random.Generator | None = None,
                    scale_mode: str = "dim") -> Tensor:
-    """x (b, s, model_dim) -> (b, ff2_out)."""
-    b, s, d = x.shape
-    split = (b, s, unit.num_heads, d // unit.num_heads)
-    q, k, v = (swap_axes(reshape(matmul(x, w), split), 1, 2)  # (b, H, s, d/H)
+    """Packed rows x (tokens, model_dim) at the True positions of the
+    (b, s) mask -> (b, ff2_out)."""
+    q, k, v = (to_padded(matmul(x, w), mask, unit.num_heads)  # (b, H, s, d/H)
                for w in (unit.wq, unit.wk, unit.wv))
     att = attention(q, k, v, scale_mode, mask[:, None])
-    h = matmul(reshape(swap_axes(att, 1, 2), (b, s, d)), unit.wo)
-    h = dropout(h, dropout_rate, training, rng)
-    h = relu(add(matmul(h, unit.w1), unit.b1))         # (b, s, ff1)
+    h = matmul(to_packed(att, mask), unit.wo)          # (tokens, d)
+    h = dropout(h, dropout_rate, training, rng, rows=mask)
+    # b1 is added on the padded layout so that its gradient sums in (b, s)
+    # order, as it would for a padded batch.
+    h = relu(add(to_padded(matmul(h, unit.w1), mask), unit.b1))  # (b, s, ff1)
     h = dropout(h, dropout_rate, training, rng)
     pooled = concat_last([masked_max(h, mask), masked_mean(h, mask)])
     z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
@@ -228,8 +239,8 @@ def gate_weights(w_gn: Tensor, x: Tensor, mask: np.ndarray) -> Tensor:
 class MoeClassifier:
     def __init__(self, cfg: ModelConfig, embedding: EmbeddingTable,
                  rng: np.random.Generator | None, dtype=np.float32):
-        """With rng None every weight but the embedding is left
-        uninitialised, for load_state_arrays to replace."""
+        """With rng None every weight but the embedding is a zero
+        placeholder, for load_state_arrays to replace."""
         cfg.validate()
         if embedding.matrix.shape != (cfg.vocab_size, cfg.word_dim):
             raise ConfigError(
@@ -292,13 +303,15 @@ class MoeClassifier:
         k = self.task_index(task_id)
         cfg = self.cfg
         ids, bits, mask = self.pad_batch(batch)
-        x = embed_with_markers(ids, bits, self.embedding.matrix, self.markers)
+        x = embed_with_markers(ids[mask], bits[mask], self.embedding.matrix,
+                               self.markers)             # (tokens, d)
         outs = [expert_forward(unit, x, mask, training, cfg.dropout, rng,
                                cfg.attention_scale)
                 for unit in self.experts]
         n, e, f = len(batch), cfg.num_experts, cfg.ff2_out
         if cfg.use_gate:
-            gw = reshape(gate_weights(self.gates[k], x, mask), (n, 1, e))
+            gw = reshape(gate_weights(self.gates[k], to_padded(x, mask), mask),
+                         (n, 1, e))
         else:
             gw = Tensor(np.full((n, 1, e), 1.0 / e, dtype=x.dtype))
         mixed = reshape(matmul(gw, reshape(concat_last(outs), (n, e, f))), (n, f))

@@ -112,6 +112,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                # Every consumer has run, so this gradient is spent; only
+                # leaves keep theirs.
+                node.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -195,6 +198,54 @@ def transpose_last(x: Tensor) -> Tensor:
     return swap_axes(x, -1, -2)
 
 
+def _scatter_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Rows x (tokens, ...) -> (b, s, ...) with zeros where the (b, s) mask
+    is False. Integer row indices scatter faster than the boolean mask
+    does when rows are short."""
+    out = np.zeros((mask.size, *x.shape[1:]), dtype=x.dtype)
+    out[np.flatnonzero(mask)] = x
+    return out.reshape(*mask.shape, *x.shape[1:])
+
+
+def to_padded(x: Tensor, mask: np.ndarray, heads: int | None = None) -> Tensor:
+    """Packed rows x (tokens, d) -> (b, s, d) with zeros where the (b, s)
+    mask is False; with ``heads``, split into heads: (b, heads, s, d / heads).
+
+    Row i of x goes to the i-th True position of mask in row-major order.
+    """
+    tokens = np.count_nonzero(mask)
+    if x.ndim != 2 or x.shape[0] != tokens:
+        raise ShapeError(f"to_padded: {x.shape} rows for {tokens} real positions")
+    b, s = mask.shape
+    d = x.shape[1]
+    out = _scatter_rows(x.data, mask)
+    if heads is not None:
+        out = out.reshape(b, s, heads, d // heads).swapaxes(1, 2)
+
+    def backward(g: np.ndarray) -> None:
+        if heads is None:  # take gathers short rows faster than a boolean mask
+            _accum(x, g.reshape(b * s, d).take(np.flatnonzero(mask), axis=0))
+        else:
+            _accum(x, g.swapaxes(1, 2)[mask].reshape(x.shape))
+
+    return _from_op(out, (x,), backward)
+
+
+def to_packed(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Heads (b, heads, s, dh) -> the rows at the (b, s) mask's True
+    positions, in row-major order, with the heads merged: (tokens, heads * dh).
+    The inverse of ``to_padded`` with heads."""
+    b, heads, s, dh = x.shape
+    if mask.shape != (b, s):
+        raise ShapeError(f"to_packed: mask {mask.shape} does not fit {x.shape}")
+    out = x.data.swapaxes(1, 2)[mask].reshape(-1, heads * dh)
+
+    def backward(g: np.ndarray) -> None:
+        _accum(x, _scatter_rows(g.reshape(-1, heads, dh), mask).swapaxes(1, 2))
+
+    return _from_op(out, (x,), backward)
+
+
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
 
@@ -267,15 +318,26 @@ def relu(x: Tensor) -> Tensor:
     return _from_op(out, (x,), backward)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval."""
+def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None,
+            rows: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval.
+
+    For packed rows x (tokens, ...) pass the (b, s) mask of their real
+    positions as ``rows``: the mask is drawn at the padded shape
+    (b, s, ...) and only the real rows are kept, so the random stream is
+    the one a padded input would draw.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:
         raise UsageError("dropout in training mode needs an rng")
-    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    if rows is None:
+        keep = rng.random(x.shape) >= rate
+    else:
+        keep = (rng.random(rows.shape + x.shape[1:]) >= rate)[rows]
+    mask = keep.astype(x.dtype) / (1.0 - rate)
     out = x.data * mask
 
     def backward(g: np.ndarray) -> None:

@@ -8,6 +8,11 @@ import pytest
 from textmoe import Tensor
 
 
+# The paper's model dimensions.
+PAPER_DIMS = dict(word_dim=300, marker_dim=100, num_heads=4, num_experts=4,
+                  ff1_dim=400, ff2_hidden=200, ff2_out=200, dropout=0.1)
+
+
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

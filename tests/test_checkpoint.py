@@ -320,3 +320,23 @@ def test_load_allocates_less_than_the_embedding(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < embedding_bytes / 2, (peak, embedding_bytes)
+
+
+def test_load_allocates_no_placeholder_weights(tmp_path):
+    # At the default dims the non-embedding weights hold 15 MB. Building
+    # the model to load into allocated a throwaway buffer for each, which
+    # made the traced peak of a load the size of all of them.
+    cfg = ModelConfig(vocab_size=10)
+    rng = np.random.default_rng(18)
+    vocab = Vocabulary.from_tokens(f"w{i}" for i in range(8))
+    model = MoeClassifier(cfg, EmbeddingTable.random(vocab, cfg.word_dim, rng), rng)
+    _, _, lexicon, names = build()
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    weight_bytes = sum(t.data.nbytes for _, t in model.named_parameters())
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < weight_bytes / 10, (peak, weight_bytes)

@@ -27,15 +27,19 @@ from textmoe.model import SCALE_MODES, ExpertUnit, _Init
 from textmoe.tensor import (
     add,
     concat_last,
+    dropout,
     masked_max,
     masked_mean,
     matmul,
     no_grad,
     relu,
+    reshape,
     slice_last,
     sum_all,
+    swap_axes,
 )
 from textmoe.train import compute_loss, dataset_ce
+from conftest import PAPER_DIMS
 from test_acceptance import ACCEPT_DIMS
 
 
@@ -232,10 +236,10 @@ def test_expert_forward_shapes_and_single_sequence():
     x = rng.normal(size=(3, 4, cfg.model_dim)).astype(np.float32)
     mask = np.array([[True] * 4, [True, True, True, False],
                      [True, True, False, False]])
-    batched = expert_forward(unit, Tensor(x), mask)
+    batched = expert_forward(unit, Tensor(x[mask]), mask)
     assert batched.shape == (3, cfg.ff2_out)
 
-    single = expert_forward(unit, Tensor(x[1:2, :3]), mask[1:2, :3])
+    single = expert_forward(unit, Tensor(x[1, :3]), mask[1:2, :3])
     assert single.shape == (1, cfg.ff2_out)
     np.testing.assert_allclose(single.data[0], batched.data[1], atol=1e-5)
 
@@ -263,7 +267,7 @@ def test_batched_heads_match_per_head_reference(mode):
     x = Tensor(rng.normal(size=(3, 5, cfg.model_dim)), dtype=np.float64)
     mask = np.array([[True] * 5, [True, True, True, False, False],
                      [True, False, False, False, False]])
-    got = expert_forward(unit, x, mask, scale_mode=mode)
+    got = expert_forward(unit, Tensor(x.data[mask]), mask, scale_mode=mode)
     want = _per_head_expert(unit, x, mask, mode)
     assert np.abs(got.data - want.data).max() < 1e-6
 
@@ -290,11 +294,11 @@ def test_expert_forward_ignores_padding_rows():
     unit = ExpertUnit(cfg, _Init(np.random.default_rng(7), np.float32))
     rng = np.random.default_rng(8)
     x = rng.normal(size=(1, 2, cfg.model_dim)).astype(np.float32)
-    short = expert_forward(unit, Tensor(x), np.array([[True, True]]))
+    short = expert_forward(unit, Tensor(x[0]), np.array([[True, True]]))
     padded_x = np.concatenate(
         [x, rng.normal(size=(1, 2, cfg.model_dim)).astype(np.float32)], axis=1)
-    long = expert_forward(unit, Tensor(padded_x),
-                          np.array([[True, True, False, False]]))
+    padded_mask = np.array([[True, True, False, False]])
+    long = expert_forward(unit, Tensor(padded_x[padded_mask]), padded_mask)
     np.testing.assert_allclose(short.data, long.data, atol=1e-5)
 
 
@@ -336,7 +340,9 @@ def test_forward_mixes_experts_by_gate_weights(use_gate):
     batch = example_batch(np.random.default_rng(35), 4)
     ids, bits, mask = model.pad_batch(batch)
     x = embed_with_markers(ids, bits, model.embedding.matrix, model.markers)
-    outs = [expert_forward(u, x, mask).data for u in model.experts]
+    packed = embed_with_markers(ids[mask], bits[mask], model.embedding.matrix,
+                                model.markers)
+    outs = [expert_forward(u, packed, mask).data for u in model.experts]
     if use_gate:
         gw = gate_weights(model.gates[1], x, mask).data
     else:
@@ -650,3 +656,72 @@ def test_bucketed_inference_peaks_below_a_padded_forward():
     bucketed = _peak_bytes(lambda: model.infer(batch, DEPRESSION))
     assert bucketed < recorded, (bucketed, recorded)
     assert bucketed < padded, (bucketed, padded)
+
+
+# ------------------------------------------------------------ packed path
+
+
+def _padded_forward(model, batch, task_id, training=False, rng=None):
+    """Reference forward with every layer on the padded (b, s, ·) layout,
+    padded positions included, and dropout drawn at the padded shape."""
+    cfg = model.cfg
+    ids, bits, mask = model.pad_batch(batch)
+    x = embed_with_markers(ids, bits, model.embedding.matrix, model.markers)
+    b, s, d = x.shape
+    e, f = cfg.num_experts, cfg.ff2_out
+    outs = []
+    for unit in model.experts:
+        q, k, v = (swap_axes(reshape(matmul(x, w), (b, s, cfg.num_heads, -1)), 1, 2)
+                   for w in (unit.wq, unit.wk, unit.wv))
+        att = attention(q, k, v, cfg.attention_scale, mask[:, None])
+        h = matmul(reshape(swap_axes(att, 1, 2), (b, s, d)), unit.wo)
+        h = dropout(h, cfg.dropout, training, rng)
+        h = dropout(relu(add(matmul(h, unit.w1), unit.b1)), cfg.dropout, training, rng)
+        pooled = concat_last([masked_max(h, mask), masked_mean(h, mask)])
+        z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
+        z = add(matmul(z, unit.w2b), unit.b2b)
+        outs.append(dropout(z, cfg.dropout, training, rng))
+    t = model.task_index(task_id)
+    gw = reshape(gate_weights(model.gates[t], x, mask), (b, 1, e))
+    mixed = reshape(matmul(gw, reshape(concat_last(outs), (b, e, f))), (b, f))
+    w, bias = model.heads[t]
+    return add(matmul(mixed, w), bias)
+
+
+@pytest.mark.parametrize("dims", [ACCEPT_DIMS, PAPER_DIMS], ids=["accept", "paper"])
+def test_packed_forward_matches_padded_reference(dims):
+    cfg = ModelConfig(vocab_size=10, **dims)
+    rng = np.random.default_rng(50)
+    vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
+    emb = EmbeddingTable.random(vocab, cfg.word_dim, rng, dtype=np.float64)
+    model = MoeClassifier(cfg, emb, rng, dtype=np.float64)
+    batch = lines_of(np.random.default_rng(51), [1, 12, 4, 7, 12, 3, 9, 5],
+                     vocab_size=10)
+    labels = np.array([ex.label for ex in batch])
+    runs = []
+    for forward in (model.forward, lambda *a, **kw: _padded_forward(model, *a, **kw)):
+        logits = forward(batch, DEPRESSION, training=True, rng=np.random.default_rng(52))
+        compute_loss(logits, labels, model.parameters(), lambda_l2=1e-4).backward()
+        runs.append((logits.data, {n: p.grad for n, p in model.named_parameters()}))
+        for p in model.parameters():
+            p.grad = None
+    (packed, packed_grads), (padded, padded_grads) = runs
+    assert np.abs(packed - padded).max() < 1e-6
+    for name, want in padded_grads.items():
+        got = packed_grads[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert np.abs(got - want).max() < 1e-6, name
+
+
+def test_training_forward_draws_the_padded_dropout_masks():
+    model = tiny_model(seed=53, dropout=0.1)
+    batch = example_batch(np.random.default_rng(54), 5)
+    rng = np.random.default_rng(55)
+    model.forward(batch, DEPRESSION, training=True, rng=rng)
+    cfg, b, s = model.cfg, len(batch), max(len(ids) for ids, _ in batch)
+    want = np.random.default_rng(55)
+    for _ in model.experts:
+        for shape in ((b, s, cfg.model_dim), (b, s, cfg.ff1_dim), (b, cfg.ff2_out)):
+            want.random(shape)
+    assert rng.bit_generator.state == want.bit_generator.state

@@ -29,6 +29,8 @@ from textmoe.tensor import (
     softmax,
     sum_all,
     swap_axes,
+    to_packed,
+    to_padded,
     transpose_last,
 )
 from conftest import max_rel_err, rand_tensor
@@ -161,7 +163,7 @@ _X = np.random.default_rng(5).normal(size=(4, 3, 5, 6))
     pytest.param(_X, False, id="4-d"),
     # A view, as matmul sees it after swap_axes.
     pytest.param(np.swapaxes(_X, 1, 2), False, id="swapped"),
-    # swap_axes then reshape, as expert_forward merges its heads.
+    # swap_axes then reshape, as a padded forward merges its heads.
     pytest.param(np.swapaxes(_X, 1, 2).reshape(4, 5, 18), False, id="swap-reshape"),
     pytest.param(_X[0], True, id="swapped-g"),
 ])
@@ -290,6 +292,61 @@ def test_grad_transpose_reshape_concat_slice(gradcheck):
     gradcheck(build, [a, b])
 
 
+# Real positions of a (3, 4) batch: 2, 4 and 1 tokens.
+_ROWS = np.array([[True, True, False, False],
+                  [True, True, True, True],
+                  [True, False, False, False]])
+
+
+def test_to_padded_places_rows_and_zeroes_padding():
+    x = np.arange(7 * 6, dtype=np.float64).reshape(7, 6)
+    padded = to_padded(Tensor(x), _ROWS).data
+    assert padded.shape == (3, 4, 6)
+    np.testing.assert_array_equal(padded[_ROWS], x)
+    np.testing.assert_array_equal(padded[~_ROWS], 0.0)
+    # With heads: what reshape and swap_axes make of the padded rows.
+    heads = to_padded(Tensor(x), _ROWS, 3).data
+    np.testing.assert_array_equal(heads, padded.reshape(3, 4, 3, 2).swapaxes(1, 2))
+
+
+def test_to_packed_inverts_to_padded_with_heads():
+    x = np.random.default_rng(40).normal(size=(7, 6))
+    heads = to_padded(Tensor(x), _ROWS, 2)
+    np.testing.assert_array_equal(to_packed(heads, _ROWS).data, x)
+    # The merge is swap_axes then reshape, restricted to the real rows.
+    merged = np.swapaxes(heads.data, 1, 2).reshape(3, 4, 6)
+    np.testing.assert_array_equal(to_packed(heads, _ROWS).data, merged[_ROWS])
+
+
+@pytest.mark.parametrize("heads", [None, 1, 3])
+def test_grad_to_padded(gradcheck, heads):
+    rng = np.random.default_rng(41)
+    x = rand_tensor(rng, (7, 6))
+    shape = (3, 4, 6) if heads is None else (3, heads, 4, 6 // heads)
+    w = Tensor(rng.normal(size=shape), dtype=np.float64)
+    gradcheck(lambda: sum_all(mul(to_padded(x, _ROWS, heads), w)), [x])
+
+
+def test_grad_to_packed(gradcheck):
+    rng = np.random.default_rng(42)
+    x = rand_tensor(rng, (3, 2, 4, 3))
+    w = Tensor(rng.normal(size=(7, 6)), dtype=np.float64)
+    gradcheck(lambda: sum_all(mul(to_packed(x, _ROWS), w)), [x])
+    # Padded positions get exactly zero.
+    x.grad = None
+    sum_all(to_packed(x, _ROWS)).backward()
+    np.testing.assert_array_equal(np.swapaxes(x.grad, 1, 2)[~_ROWS], 0.0)
+
+
+def test_layout_op_shape_errors():
+    with pytest.raises(ShapeError, match="to_padded"):
+        to_padded(Tensor(np.ones((6, 4))), _ROWS)
+    with pytest.raises(ShapeError, match="to_padded"):
+        to_padded(Tensor(np.ones((3, 4, 2))), _ROWS)
+    with pytest.raises(ShapeError, match="to_packed"):
+        to_packed(Tensor(np.ones((3, 2, 5, 2))), _ROWS)
+
+
 def test_grad_softmax(gradcheck):
     rng = np.random.default_rng(11)
     x = rand_tensor(rng, (3, 4))
@@ -394,6 +451,16 @@ def test_repeated_ids_accumulate():
     np.testing.assert_array_equal(table.grad[1], [3.0, 3.0])
 
 
+def test_backward_frees_spent_gradients_and_keeps_leaf_gradients():
+    x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    y = mul(x, x)
+    z = add(y, y)
+    loss = sum_all(z)
+    loss.backward()
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+    assert y.grad is None and z.grad is None and loss.grad is None
+
+
 def test_no_requires_grad_means_no_graph():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))
@@ -470,6 +537,18 @@ def test_dropout_backward_matches_mask():
     mask = out.data / x.data
     sum_all(out).backward()
     np.testing.assert_allclose(x.grad, mask, atol=1e-12)
+
+
+def test_dropout_on_packed_rows_draws_the_padded_mask():
+    x = np.random.default_rng(17).normal(size=(3, 4, 5))
+    padded = dropout(Tensor(x), 0.3, training=True, rng=np.random.default_rng(18))
+    rng = np.random.default_rng(18)
+    packed = dropout(Tensor(x[_ROWS]), 0.3, training=True, rng=rng, rows=_ROWS)
+    np.testing.assert_array_equal(packed.data, padded.data[_ROWS])
+    # The stream has moved past the full (3, 4, 5) draw.
+    want = np.random.default_rng(18)
+    want.random((3, 4, 5))
+    assert rng.random() == want.random()
 
 
 def test_dropout_errors():

@@ -3,6 +3,7 @@ and the full fit loop with its determinism and isolation guarantees.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from textmoe.train import (
     rng_stream,
     stratified_split,
 )
+from conftest import PAPER_DIMS
 from test_acceptance import ACCEPT_DIMS
 
 
@@ -347,10 +349,10 @@ def test_fit_forwards_validation_once_per_epoch(monkeypatch):
 
 def test_training_loss_graph_size_at_acceptance_shape():
     # One node for the L2 term, not three per parameter: 185 nodes before
-    # at ACCEPT_DIMS and 335 at the paper shape.
-    paper = dict(word_dim=300, marker_dim=100, num_heads=4, num_experts=4,
-                 ff1_dim=400, ff2_hidden=200, ff2_out=200, dropout=0.1)
-    for dims, bound in ((ACCEPT_DIMS, 102), (paper, 192)):
+    # at ACCEPT_DIMS and 335 at the paper shape. The packed layout ops
+    # replace a reshape and a swap_axes per head split and merge, which
+    # took 102 and 192 nodes.
+    for dims, bound in ((ACCEPT_DIMS, 97), (PAPER_DIMS, 181)):
         cfg = ModelConfig(vocab_size=10, **dims)
         rng = np.random.default_rng(0)
         vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
@@ -366,6 +368,28 @@ def test_training_loss_graph_size_at_acceptance_shape():
                 seen.add(id(node))
                 stack.extend(node._parents)
         assert len(seen) <= bound, dims
+
+
+def test_paper_shape_step_peak_memory():
+    # 64 posts of 4-12 tokens padded to 12. The traced peak of one step was
+    # 143 MB with every intermediate gradient kept until backward returned;
+    # it is 96 MB with spent gradients freed.
+    cfg = ModelConfig(vocab_size=10, **PAPER_DIMS)
+    rng = np.random.default_rng(3)
+    vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
+    model = MoeClassifier(cfg, EmbeddingTable.random(vocab, cfg.word_dim, rng), rng)
+    lengths = [12] + rng.integers(4, 13, size=63).tolist()
+    batch = [(rng.integers(2, 10, size=n).tolist(), rng.integers(0, 2, size=n).tolist())
+             for n in lengths]
+    labels = rng.integers(0, 2, size=len(batch))
+    tracemalloc.start()
+    try:
+        logits = model.forward(batch, DEPRESSION, training=True, rng=rng)
+        compute_loss(logits, labels, model.parameters(), lambda_l2=1e-4).backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 115 * 2**20, peak
 
 
 def test_fit_early_stop_and_lr_decay():
