@@ -5,7 +5,8 @@ backward closure to its output, so the graph is rebuilt on each forward
 pass (define-by-run). ``Tensor.backward()`` walks the recorded ops in
 reverse topological order and accumulates d(loss)/d(leaf) into ``.grad``
 of every tensor created with ``requires_grad=True``; gradients arriving
-over multiple paths add.
+over multiple paths add. It consumes the graph as it goes, so each
+forward supports one backward.
 
 Inside ``with no_grad():`` ops record nothing: an output gets no parents
 and no backward closure, so a forward frees its activations as it goes.
@@ -85,7 +86,12 @@ class Tensor:
         self.grad = np.zeros_like(self.data)
 
     def backward(self) -> None:
-        """Backprop from this scalar through the recorded graph."""
+        """Backprop from this scalar through the recorded graph.
+
+        The graph is consumed: each node drops its parents and its backward
+        closure once that has run, so activations are freed as backward
+        goes. A second backward() through the same nodes raises UsageError.
+        """
         if self.data.size != 1:
             raise UsageError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
@@ -103,22 +109,37 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _spent:
+                _spent(None)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # Popping walks topo in reverse, and drops each node as it goes.
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
-                # Every consumer has run, so this gradient is spent; only
-                # leaves keep theirs.
-                node.grad = None
+            # Every consumer has run, so this gradient is spent, and the
+            # closure (with the activations it holds) and the links to the
+            # parents are not needed again.
+            node.grad = None
+            node._parents = ()
+            node._backward = _spent
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
+
+
+def _spent(g) -> None:
+    """The backward of a node whose graph a backward() has consumed."""
+    raise UsageError("backward: this graph was consumed by an earlier backward(); "
+                     "run the forward again")
 
 
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -403,19 +424,37 @@ def sum_all(x: Tensor) -> Tensor:
     return _from_op(out, (x,), backward)
 
 
-def l2_penalty(params: Sequence[Tensor], lam: float) -> Tensor:
-    """lam * sum over params of (p * p).sum(), as one graph node.
+def l2_value(params: Sequence[Tensor], lam: float,
+             scratch: np.ndarray | None = None) -> np.ndarray:
+    """lam * sum over params of (p * p).sum(), as a 0-d array of the first
+    parameter's dtype.
 
     The squared sums are added in parameter order and scaled last, so the
-    value is bitwise that of the sum_all/mul/add/scale chain it replaces.
+    value is bitwise that of the sum_all/mul/add/scale chain. A 1-d
+    ``scratch`` of the parameters' dtype and at least their size receives
+    each C-ordered square in turn instead of a new array; the value is the
+    same.
     """
     if not params:
-        raise UsageError("l2_penalty needs at least one tensor")
+        raise UsageError("the L2 term needs at least one tensor")
     total = None
     for p in params:
-        sq = (p.data * p.data).sum()
+        x = p.data
+        if (scratch is not None and scratch.dtype == x.dtype and scratch.size >= x.size
+                and x.flags.c_contiguous):
+            sq = np.multiply(x, x, out=scratch[:x.size].reshape(x.shape)).sum()
+        else:
+            sq = (x * x).sum()
         total = sq if total is None else total + sq
-    out = np.asarray(total * lam, dtype=params[0].dtype)
+    return np.asarray(total * lam, dtype=params[0].dtype)
+
+
+def l2_penalty(params: Sequence[Tensor], lam: float) -> Tensor:
+    """The graph node of ``l2_value``: its backward adds 2 * lam * p to
+    each parameter's gradient. ``fit`` instead adds the value as a
+    constant and lets ``RmsProp(weight_decay=2 * lam)`` apply the same
+    gradient term inside its update."""
+    out = l2_value(params, lam)
 
     def backward(g: np.ndarray) -> None:
         c = g * (2.0 * lam)

@@ -8,6 +8,11 @@ per epoch over a stratified split of the depression data gives the
 validation loss and metrics; the best checkpoint is restored at the end.
 The idle task's head and gate get no gradient in a step, which the
 optimizer reads as zero.
+
+``fit`` applies the L2 term inside the optimizer: the loss carries the
+penalty's value as a constant, and ``RmsProp(weight_decay=2 * lambda_l2)``
+adds its gradient in the same blocked pass as the update. The arithmetic
+is bitwise that of the ``l2_penalty`` graph node ``compute_loss`` builds.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from .errors import ConfigError, TrainingDiverged, UsageError
 # wraps each by its name in this module, so they stay.
 from .metrics import MetricsReport, evaluate, metrics  # noqa: F401
 from .optim import RmsProp
-from .tensor import Tensor, add, cross_entropy, l2_penalty, mul, no_grad, scale, sum_all  # noqa: F401
+from .tensor import (  # noqa: F401
+    Tensor, add, cross_entropy, l2_penalty, l2_value, mul, no_grad, scale, sum_all,
+)
 
 # Fixed tags give every consumer its own deterministic stream per seed.
 TAG_EMBEDDING, TAG_MODEL, TAG_SPLIT, TAG_SCHEDULE, TAG_DROPOUT = range(5)
@@ -232,7 +239,11 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
     sched_rng = rng_stream(cfg.seed, TAG_SCHEDULE)
     drop_rng = rng_stream(cfg.seed, TAG_DROPOUT)
     params = model.parameters()
-    opt = RmsProp(params, lr=cfg.learning_rate)
+    # L2 as in the module docstring; the scratch buffer takes each
+    # parameter's squares in turn, so the penalty's value allocates nothing.
+    opt = RmsProp(params, lr=cfg.learning_rate, weight_decay=2.0 * cfg.lambda_l2)
+    l2_scratch = (np.empty(max(p.data.size for p in params), dtype=params[0].dtype)
+                  if cfg.lambda_l2 > 0.0 else None)
     stopper = EarlyStopper(cfg.early_stop_patience)
     report = TrainingReport()
     best_state = model.state_arrays()
@@ -247,7 +258,9 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
             batch = [ds.examples[i] for i in idx]
             labels = np.array([ex.label for ex in batch])
             logits = model.forward(batch, task_id, training=True, rng=drop_rng)
-            loss = compute_loss(logits, labels, params, cfg.lambda_l2)
+            loss = compute_loss(logits, labels)
+            if cfg.lambda_l2 > 0.0:
+                loss = add(loss, Tensor(l2_value(params, cfg.lambda_l2, l2_scratch)))
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(

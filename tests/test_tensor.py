@@ -461,6 +461,31 @@ def test_backward_frees_spent_gradients_and_keeps_leaf_gradients():
     assert y.grad is None and z.grad is None and loss.grad is None
 
 
+def test_backward_consumes_the_graph():
+    x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    y = mul(x, x)
+    loss = sum_all(add(y, y))
+    loss.backward()
+    assert y._parents == () and loss._parents == ()
+    # A second pass would add into the leaves again; it is refused before
+    # any gradient moves, from the root or from inside the graph.
+    for root in (loss, sum_all(y)):
+        with pytest.raises(UsageError, match="earlier backward"):
+            root.backward()
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+    # A fresh forward over the same leaves backpropagates as usual.
+    x.grad = None
+    sum_all(mul(x, x)).backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_backward_on_a_scalar_leaf_sets_a_unit_gradient_every_time():
+    w = Tensor(np.array(3.0), requires_grad=True, dtype=np.float64)
+    for _ in range(2):
+        w.backward()
+        assert w.grad.tolist() == 1.0
+
+
 def test_no_requires_grad_means_no_graph():
     a = Tensor(np.ones((2, 2)))
     b = Tensor(np.ones((2, 2)))

@@ -26,6 +26,8 @@ from textmoe import (
 )
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
 from textmoe.metrics import evaluate
+from textmoe.optim import RmsProp
+from textmoe.tensor import add, l2_value
 from textmoe.train import (
     TAG_SPLIT,
     EpochRecord,
@@ -35,6 +37,7 @@ from textmoe.train import (
 )
 from conftest import PAPER_DIMS
 from test_acceptance import ACCEPT_DIMS
+from test_optim import reference_step
 
 
 def make_dataset(task_id, n, num_classes=2, seed=0, length=4):
@@ -372,8 +375,10 @@ def test_training_loss_graph_size_at_acceptance_shape():
 
 def test_paper_shape_step_peak_memory():
     # 64 posts of 4-12 tokens padded to 12. The traced peak of one step was
-    # 143 MB with every intermediate gradient kept until backward returned;
-    # it is 96 MB with spent gradients freed.
+    # 143 MB with every intermediate gradient kept until backward returned,
+    # and 96 MB with spent gradients freed. Freeing each node's closure and
+    # parents as backward passes it as well brings it to 80 MB: the 78 MB
+    # the forward holds shrinks while the gradients grow.
     cfg = ModelConfig(vocab_size=10, **PAPER_DIMS)
     rng = np.random.default_rng(3)
     vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
@@ -389,7 +394,49 @@ def test_paper_shape_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 115 * 2**20, peak
+    assert peak < 88 * 2**20, peak
+
+
+@pytest.mark.parametrize("dims", [ACCEPT_DIMS, PAPER_DIMS], ids=["accept", "paper"])
+def test_l2_in_the_optimizer_is_bitwise_the_graph_term(dims):
+    # fit's step (the penalty's value as a constant, its gradient inside
+    # RmsProp) against the graph l2_penalty term plus the whole-array
+    # update, over steps that alternate the tasks, so the idle head gets
+    # only the L2 gradient. PAPER_DIMS train with dropout 0.1.
+    lam = 1e-4
+    cfg = ModelConfig(vocab_size=10, **dims)
+    vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
+
+    def build():
+        rng = np.random.default_rng(5)
+        return MoeClassifier(cfg, EmbeddingTable.random(vocab, cfg.word_dim, rng), rng)
+
+    ours, ref = build(), build()
+    params, ref_params = ours.parameters(), ref.parameters()
+    opt = RmsProp(params, lr=1e-3, weight_decay=2.0 * lam)
+    ref_acc = [np.zeros_like(p.data) for p in ref_params]
+    scratch = np.empty(max(p.data.size for p in params), dtype=np.float32)
+    data_rng = np.random.default_rng(6)
+    drop_ours, drop_ref = np.random.default_rng(7), np.random.default_rng(7)
+    for step in range(3):
+        task = (DEPRESSION, SENTIMENT)[step % 2]
+        batch = [(data_rng.integers(2, 10, size=n).tolist(),
+                  data_rng.integers(0, 2, size=n).tolist())
+                 for n in data_rng.integers(3, 9, size=6)]
+        labels = data_rng.integers(0, 2, size=len(batch))
+
+        logits = ours.forward(batch, task, training=True, rng=drop_ours)
+        loss = add(compute_loss(logits, labels), Tensor(l2_value(params, lam, scratch)))
+        ref_loss = compute_loss(ref.forward(batch, task, training=True, rng=drop_ref),
+                                labels, ref_params, lam)
+        assert loss.data.tobytes() == ref_loss.data.tobytes(), step
+        loss.backward()
+        ref_loss.backward()
+        opt.step()
+        reference_step(ref_params, ref_acc, 1e-3)
+        for i, (a, b) in enumerate(zip(params, ref_params)):
+            assert a.data.tobytes() == b.data.tobytes(), (step, i)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(opt.acc, ref_acc))
 
 
 def test_fit_early_stop_and_lr_decay():
