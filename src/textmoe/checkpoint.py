@@ -15,10 +15,11 @@ Entries are stored uncompressed, each local header padded with one
 extra-field record (ID 0xD935, as zipalign writes) so that the entry's
 .npy data starts at a multiple of 64 bytes in the file; numpy pads the
 .npy header to 64 as well, so the array data is 64-byte aligned too.
-Loading maps the file copy-on-write: an aligned entry becomes a view of
-the mapping, and any other entry (``np.savez`` puts most of its entries
-at arbitrary offsets) is read into one shared buffer. Every entry's CRC-32
-is checked either way. A compressed archive is not a checkpoint.
+Loading maps the file copy-on-write and takes every entry from that
+mapping: an aligned entry stays a view of it, and any other entry
+(``np.savez`` puts most of its entries at arbitrary offsets) is copied
+out of it. Each entry's CRC-32 is checked over its stored bytes, .npy
+header and data, before use. A compressed archive is not a checkpoint.
 
 A loaded parameter is private: writing to it never reaches the file. The
 mapping does see the file, though, so truncating or rewriting a loaded
@@ -104,15 +105,9 @@ def _join_heads(arrays: dict[str, np.ndarray], cfg: ModelConfig) -> None:
             arrays[f"expert{e}.{w}"] = np.concatenate(heads, axis=1)
 
 
-def _padded(size: int) -> int:
-    """``size`` rounded up to 64, the alignment of each parameter in the
-    load buffer."""
-    return -(-size // _ALIGN) * _ALIGN
-
-
-def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[bytes, int, np.dtype, tuple, str]:
-    """The .npy header, array data offset, dtype, shape and order of a
-    stored archive entry."""
+def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[int, int, np.dtype, tuple, str]:
+    """The file offsets of a stored archive entry's bytes and of its array
+    data, and the array's dtype, shape and order."""
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"{info.filename}: compressed entries are not supported")
     fh.seek(info.header_offset)
@@ -130,22 +125,18 @@ def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[bytes, int, np.dtype, tupl
     shape, fortran, dtype = read_header(fh)
     if dtype.hasobject:
         raise ValueError(f"{info.filename}: object arrays are not allowed")
-    header_len = fh.tell() - start
-    if header_len + math.prod(shape) * dtype.itemsize != info.file_size:
+    if fh.tell() - start + math.prod(shape) * dtype.itemsize != info.file_size:
         raise ValueError(f"{info.filename}: size does not match its .npy header")
-    fh.seek(start)
-    return fh.read(header_len), start + header_len, dtype, shape, "F" if fortran else "C"
+    return start, fh.tell(), dtype, shape, "F" if fortran else "C"
 
 
 def _read_archive(path: str) -> tuple[str, dict[str, np.ndarray]]:
     """The meta text and parameter arrays of the archive at ``path``.
 
-    The file is mapped copy-on-write. An entry whose array data starts at a
-    64-byte file offset becomes a view of the mapping; any other parameter
-    is read straight from the file into one shared buffer, so one large
-    allocation and no staging copies keep a load cheap in a process that
-    has no freed memory to reuse. Every entry is checked against its
-    CRC-32 before use.
+    Every entry comes from one copy-on-write mapping of the file, and is
+    checked against its CRC-32 over its stored bytes (.npy header and
+    data) before use. An entry whose array data starts at a 64-byte file
+    offset stays a view of the mapping; any other is copied out of it.
 
     A file that is not an .npz archive of plain stored arrays, or whose
     entry fails its checksum, raises UsageError; a missing or unreadable
@@ -158,26 +149,15 @@ def _read_archive(path: str) -> tuple[str, dict[str, np.ndarray]]:
                 raise UsageError(f"{path}: not a checkpoint: no meta entry")
             layouts = {name: _entry_layout(fh, info) for name, info in entries.items()}
             mapped = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY), np.uint8)
-            buf = np.empty(sum(_padded(entries[name].file_size)
-                               for name, (_, at, *_) in layouts.items()
-                               if at % _ALIGN and name.startswith(_PARAM)), np.uint8)
-            found, used = {}, 0
+            found = {}
             for name, info in entries.items():
-                header, at, dtype, shape, order = layouts[name]
-                size = info.file_size - len(header)
-                if at + size > mapped.size:
+                start, at, dtype, shape, order = layouts[name]
+                end = start + info.file_size
+                if end > mapped.size:
                     raise EOFError(f"{info.filename}: truncated")
-                if at % _ALIGN == 0:
-                    data = mapped[at:at + size]
-                else:
-                    if name.startswith(_PARAM):
-                        data, used = buf[used:used + size], used + _padded(size)
-                    else:
-                        data = np.empty(size, np.uint8)
-                    fh.seek(at)
-                    fh.readinto(data)
-                if zlib.crc32(data, zlib.crc32(header)) != info.CRC:
+                if zlib.crc32(mapped[start:end]) != info.CRC:
                     raise zipfile.BadZipFile(f"{info.filename}: CRC-32 mismatch")
+                data = mapped[at:end] if at % _ALIGN == 0 else mapped[at:end].copy()
                 found[name] = data.view(dtype).reshape(shape, order=order)
     # ValueError: object data or a malformed entry; EOFError: a short file.
     except (ValueError, EOFError, zipfile.BadZipFile) as e:

@@ -19,6 +19,7 @@ bitwise the same at any block size.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -34,14 +35,14 @@ BLOCK = 1 << 15
 class RmsProp:
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
                  rho: float = 0.9, eps: float = 1e-8, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+        if not 0 < lr < math.inf:
+            raise ConfigError(f"learning rate must be positive and finite, got {lr}")
         if not 0.0 < rho < 1.0:
             raise ConfigError(f"rho must be in (0, 1), got {rho}")
         if eps <= 0:
             raise ConfigError(f"eps must be positive, got {eps}")
-        if not weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {weight_decay}")
+        if not 0 <= weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
         self.rho = rho

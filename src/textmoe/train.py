@@ -9,10 +9,11 @@ validation loss and metrics; the best checkpoint is restored at the end.
 The idle task's head and gate get no gradient in a step, which the
 optimizer reads as zero.
 
-``fit`` applies the L2 term inside the optimizer: the loss carries the
-penalty's value as a constant, and ``RmsProp(weight_decay=2 * lambda_l2)``
-adds its gradient in the same blocked pass as the update. The arithmetic
-is bitwise that of the ``l2_penalty`` graph node ``compute_loss`` builds.
+``fit`` keeps the L2 term out of the graph: backward starts at the
+cross-entropy, the logged loss adds the penalty's value to it, and
+``RmsProp(weight_decay=2 * lambda_l2)`` adds the penalty's gradient in
+the same blocked pass as the update. The arithmetic is bitwise that of
+the ``l2_penalty`` graph node ``compute_loss`` builds.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lambda_l2 < 0:
-            raise ConfigError(f"lambda_l2 must be >= 0, got {self.lambda_l2}")
+        if not 0 <= self.lambda_l2 < math.inf:
+            raise ConfigError(f"lambda_l2 must be >= 0 and finite, got {self.lambda_l2}")
         if self.max_epochs < 0:
             raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
@@ -259,9 +261,8 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
             labels = np.array([ex.label for ex in batch])
             logits = model.forward(batch, task_id, training=True, rng=drop_rng)
             loss = compute_loss(logits, labels)
-            if cfg.lambda_l2 > 0.0:
-                loss = add(loss, Tensor(l2_value(params, cfg.lambda_l2, l2_scratch)))
-            value = loss.item()
+            value = ((loss.data + l2_value(params, cfg.lambda_l2, l2_scratch)).item()
+                     if cfg.lambda_l2 > 0.0 else loss.item())
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {b} ({task_id})"

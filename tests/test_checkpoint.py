@@ -267,9 +267,17 @@ def test_flipped_data_byte_fails_the_checksum(tmp_path, entry, rewrite):
     path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
     if rewrite:
         np.savez(path, **read_archive(path))
-    # The mapped path takes entries at 64-byte offsets, the copying path the rest.
-    assert (data_offsets(path)[entry] % 64 == 0) != rewrite
+    # Entries at 64-byte offsets stay views of the mapping, the rest are copied.
+    at = data_offsets(path)[entry]
+    assert (at % 64 == 0) != rewrite
+    whole = Path(path).read_bytes()
     flip_last_data_byte(path, entry)
+    with pytest.raises(UsageError, match="CRC"):
+        load_checkpoint(path)
+    # A padding space of the .npy header turned into a tab still parses;
+    # only the checksum over the entry's stored bytes catches it.
+    assert whole[at - 2:at] == b" \n"
+    Path(path).write_bytes(whole[:at - 2] + b"\t" + whole[at - 1:])
     with pytest.raises(UsageError, match="CRC"):
         load_checkpoint(path)
 
@@ -340,3 +348,26 @@ def test_load_allocates_no_placeholder_weights(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < weight_bytes / 10, (peak, weight_bytes)
+
+
+def test_savez_archive_load_copies_each_entry_once(tmp_path):
+    # np.savez leaves the embedding unaligned, so it is copied out of the
+    # mapping; a load that staged it once more would trace twice its size.
+    cfg = ModelConfig(vocab_size=8002, word_dim=300, marker_dim=4, num_heads=2,
+                      ff1_dim=8, ff2_hidden=4, ff2_out=3, num_experts=1)
+    rng = np.random.default_rng(19)
+    vocab = Vocabulary.from_tokens(f"w{i}" for i in range(8000))
+    model = MoeClassifier(cfg, EmbeddingTable.random(vocab, 300, rng), rng)
+    _, _, lexicon, names = build()
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    np.savez(path, **read_archive(path))
+    weight_bytes = sum(t.data.nbytes for _, t in model.named_parameters())
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path).model
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not is_mapped(loaded.embedding.matrix.data)
+    np.testing.assert_array_equal(loaded.embedding.matrix.data, model.embedding.matrix.data)
+    assert peak < 1.25 * weight_bytes, (peak, weight_bytes)

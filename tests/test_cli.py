@@ -3,6 +3,7 @@ pipeline, sweep commands, exit codes, and rerun reproducibility.
 """
 
 import io
+import shutil
 import subprocess
 import sys
 
@@ -288,6 +289,31 @@ def test_bad_ratio_flag_exits_2(workspace, capsys):
                  "--ratio", "nonsense"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_flag_exits_2(workspace, tmp_path, capsys, value):
+    code = main(["train", str(workspace["data"] / "config.ini"),
+                 "--out", str(tmp_path / "run"), "--learning-rate", value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "learning_rate must be positive and finite" in err
+    assert not (tmp_path / "run" / "model.npz").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda_l2_in_config_exits_2(workspace, tmp_path, capsys, value):
+    # A copy of the project: its config names the data files relative to itself.
+    data = shutil.copytree(workspace["data"], tmp_path / "data")
+    ini = data / "config.ini"
+    text = ini.read_text(encoding="utf-8")
+    assert "lambda_l2 = 0.0001\n" in text
+    ini.write_text(text.replace("lambda_l2 = 0.0001\n", f"lambda_l2 = {value}\n"),
+                   encoding="utf-8")
+    code = main(["train", str(ini), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lambda_l2 must be >= 0 and finite" in err and "weight_decay" not in err
 
 
 def test_missing_subcommand_is_usage_error():

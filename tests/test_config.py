@@ -207,6 +207,17 @@ def test_model_config_is_validated_on_load(tmp_path):
         load_run_config(ini)
 
 
+@pytest.mark.parametrize("line", ["learning_rate = nan", "learning_rate = inf",
+                                  "lambda_l2 = nan", "lambda_l2 = inf"])
+def test_non_finite_train_setting_names_its_key(tmp_path, line):
+    # Unchecked, NaN and inf passed the sign checks: training ran a step and
+    # diverged, or the optimizer rejected its internal weight_decay.
+    _scaffold(tmp_path)
+    key = line.split()[0]
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        load_run_config(_edited_ini(tmp_path, "[train]\n", f"[train]\n{line}\n"))
+
+
 def test_resolve_output_dir_priority(tmp_path, monkeypatch):
     monkeypatch.delenv(ENV_OUTPUT_DIR, raising=False)
     cfg = RunConfig(output_dir="from_config")

@@ -128,16 +128,17 @@ def test_accumulators_stay_non_negative():
 
 def test_constructor_validation():
     p = _param([0.0])
-    with pytest.raises(ConfigError):
-        RmsProp([p], lr=0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="learning rate"):
+            RmsProp([p], lr=bad)
     with pytest.raises(ConfigError):
         RmsProp([p], rho=1.0)
     with pytest.raises(ConfigError):
         RmsProp([p], rho=0.0)
     with pytest.raises(ConfigError):
         RmsProp([p], eps=0.0)
-    for bad in (-1e-4, math.nan):
-        with pytest.raises(ConfigError):
+    for bad in (-1e-4, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="weight_decay"):
             RmsProp([p], weight_decay=bad)
 
 

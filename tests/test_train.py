@@ -27,7 +27,8 @@ from textmoe import (
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
 from textmoe.metrics import evaluate
 from textmoe.optim import RmsProp
-from textmoe.tensor import add, l2_value
+from textmoe import train as train_module
+from textmoe.tensor import cross_entropy, l2_value
 from textmoe.train import (
     TAG_SPLIT,
     EpochRecord,
@@ -82,12 +83,14 @@ def test_rng_streams_are_deterministic_and_distinct():
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        train_config(learning_rate=0.0).validate()
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            train_config(learning_rate=bad).validate()
     with pytest.raises(ConfigError):
         train_config(batch_size=0).validate()
-    with pytest.raises(ConfigError):
-        train_config(lambda_l2=-1.0).validate()
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="lambda_l2"):
+            train_config(lambda_l2=bad).validate()
     with pytest.raises(ConfigError):
         train_config(ratio=(0, 0)).validate()
     with pytest.raises(ConfigError):
@@ -350,6 +353,40 @@ def test_fit_forwards_validation_once_per_epoch(monkeypatch):
     assert sum(forwarded) == len(report.epochs) * len(val) == 3 * len(val)
 
 
+def test_fit_backpropagates_from_the_cross_entropy(monkeypatch):
+    # The L2 term's value joins only the logged loss and its gradient is
+    # the optimizer's, so each step's backward starts at the cross-entropy,
+    # whose only parent is that step's logits.
+    model = small_model(seed=13)
+    logits_seen, losses_seen, calls = [], [], []
+    forward, backward = model.forward, Tensor.backward
+
+    def recording_forward(batch, task_id, training=False, rng=None):
+        out = forward(batch, task_id, training=training, rng=rng)
+        if training:
+            logits_seen.append(out)
+        return out
+
+    def recording_cross_entropy(logits, labels):
+        out = cross_entropy(logits, labels)
+        losses_seen.append(out)
+        return out
+
+    def recording_backward(self):
+        calls.append((self, self._parents))  # backward consumes the parents
+        backward(self)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    monkeypatch.setattr(train_module, "cross_entropy", recording_cross_entropy)
+    monkeypatch.setattr(Tensor, "backward", recording_backward)
+    fit(model, None, make_dataset(DEPRESSION, 24, seed=26),
+        train_config(ratio=(0, 1), max_epochs=1, lambda_l2=1e-4))
+    assert calls and len(calls) == len(logits_seen)
+    for (loss, parents), logits in zip(calls, logits_seen):
+        assert any(loss is seen for seen in losses_seen)
+        assert len(parents) == 1 and parents[0] is logits
+
+
 def test_training_loss_graph_size_at_acceptance_shape():
     # One node for the L2 term, not three per parameter: 185 nodes before
     # at ACCEPT_DIMS and 335 at the paper shape. The packed layout ops
@@ -399,8 +436,8 @@ def test_paper_shape_step_peak_memory():
 
 @pytest.mark.parametrize("dims", [ACCEPT_DIMS, PAPER_DIMS], ids=["accept", "paper"])
 def test_l2_in_the_optimizer_is_bitwise_the_graph_term(dims):
-    # fit's step (the penalty's value as a constant, its gradient inside
-    # RmsProp) against the graph l2_penalty term plus the whole-array
+    # fit's step (backward from the cross-entropy, the penalty's value added
+    # to the logged loss, its gradient inside RmsProp) against the graph l2_penalty term plus the whole-array
     # update, over steps that alternate the tasks, so the idle head gets
     # only the L2 gradient. PAPER_DIMS train with dropout 0.1.
     lam = 1e-4
@@ -425,11 +462,11 @@ def test_l2_in_the_optimizer_is_bitwise_the_graph_term(dims):
                  for n in data_rng.integers(3, 9, size=6)]
         labels = data_rng.integers(0, 2, size=len(batch))
 
-        logits = ours.forward(batch, task, training=True, rng=drop_ours)
-        loss = add(compute_loss(logits, labels), Tensor(l2_value(params, lam, scratch)))
+        loss = compute_loss(ours.forward(batch, task, training=True, rng=drop_ours), labels)
+        value = loss.data + l2_value(params, lam, scratch)
         ref_loss = compute_loss(ref.forward(batch, task, training=True, rng=drop_ref),
                                 labels, ref_params, lam)
-        assert loss.data.tobytes() == ref_loss.data.tobytes(), step
+        assert value.tobytes() == ref_loss.data.tobytes(), step
         loss.backward()
         ref_loss.backward()
         opt.step()
