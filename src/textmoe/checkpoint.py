@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import EmbeddingTable, Vocabulary, atomic_open
+from .data import TASK_IDS, EmbeddingTable, Vocabulary, atomic_open
 from .errors import UsageError
 from .lexicon import Lexicon
 from .model import ModelConfig, MoeClassifier
@@ -189,7 +189,16 @@ def load_checkpoint(path: str) -> Checkpoint:
         embedding = arrays["embedding"]
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise UsageError(f"{path}: incomplete checkpoint: {type(e).__name__}: {e}") from None
-    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tuple(tokens))
+    index = {t: i for i, t in enumerate(tokens)}
+    if len(tokens) != cfg.vocab_size or len(index) != len(tokens):
+        raise UsageError(f"{path}: vocab holds {len(tokens)} tokens, "
+                         f"{len(index)} distinct, for vocab_size {cfg.vocab_size}")
+    classes = dict(zip(TASK_IDS, cfg.classes_per_task))
+    for task, names in label_names.items():
+        if task in classes and len(names) != classes[task]:
+            raise UsageError(f"{path}: label_names[{task!r}] holds {len(names)} "
+                             f"names for {classes[task]} classes")
+    vocab = Vocabulary(index, tuple(tokens))
     emb = EmbeddingTable(Tensor(embedding, requires_grad=True), cfg.word_dim)
     # The archive holds every weight: draw none, and adopt its arrays uncopied.
     model = MoeClassifier(cfg, emb, None, dtype=embedding.dtype)

@@ -9,7 +9,6 @@ then [output] dir, then $TEXTMOE_OUTPUT_DIR, then ./textmoe_out.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import math
 import os
@@ -35,11 +34,12 @@ from .data import (
     dataset_rows,
     encode_text,
     load_csv_dataset,
+    read_csv_rows,
     synth_generate,
     tokenize,
     write_csv,
 )
-from .errors import ConfigError, DataError, Error, UsageError
+from .errors import ConfigError, Error, UsageError
 from .lexicon import DEFAULT_MARKER_EMOTIONS, load_nrc_lexicon, load_plain_lexicon
 from .metrics import evaluate, metrics_table, report_record
 from .model import ModelConfig
@@ -59,11 +59,8 @@ def _load_lexicon(cfg: RunConfig):
 
 
 def _read_token_lists(path: str, cfg: RunConfig) -> list[list[str]]:
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if cfg.text_column not in (reader.fieldnames or []):
-            raise DataError(f"{path}: missing column {cfg.text_column!r}")
-        return [tokenize(row[cfg.text_column], cfg.language) for row in reader]
+    return [tokenize(row[cfg.text_column], cfg.language)
+            for _, row in read_csv_rows(path, (cfg.text_column,))]
 
 
 def load_bundle(cfg: RunConfig) -> DataBundle:
@@ -94,7 +91,7 @@ def load_bundle(cfg: RunConfig) -> DataBundle:
 def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, str, DataBundle]:
     """The config with the flag overrides applied, the created output
     directory and the data bundle: what every run command starts from."""
-    cfg = load_run_config(args.config)
+    cfg = load_run_config(args.config, validate=False)
     for attr in ("seed", "max_epochs", "batch_size", "learning_rate"):
         value = getattr(args, attr)
         if value is not None:

@@ -2,9 +2,9 @@
 and the atomic file writes every artifact goes through.
 
 Both tasks share one vocabulary. Reserved ids: PAD=0, UNK=1. Sequences are
-truncated to MAX_SEQ_LEN tokens. Marker bits are computed on token strings
-before vocabulary encoding, so out-of-vocabulary words still match the
-lexicon.
+truncated to the model's ``max_seq_len`` tokens (MAX_SEQ_LEN by default).
+Marker bits are computed on token strings before vocabulary encoding, so
+out-of-vocabulary words still match the lexicon.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import os
 import string
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -248,26 +248,39 @@ def encode_text(text: str, vocab: Vocabulary, lexicon: Lexicon,
     return vocab.encode(tokens), mark_tokens(lexicon, tokens)
 
 
+def read_csv_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """(line number, row) for each row of an RFC-4180 CSV with a header row.
+    A missing column, a row without one of ``columns`` and a malformed or
+    oversized field raise DataError naming the path and line."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            header = reader.fieldnames or []
+            for col in columns:
+                if col not in header:
+                    raise DataError(f"{path}: missing column {col!r} (header: {header})")
+            for row in reader:
+                for col in columns:
+                    if row[col] is None:
+                        raise DataError(f"{path}: row {reader.line_num}: no {col!r} field")
+                yield reader.line_num, row
+        except csv.Error as e:
+            # DictReader copies line_num only after a row parses.
+            raise DataError(f"{path}: row {reader.reader.line_num}: {e}") from e
+
+
 def load_csv_dataset(path: str, task_id: str, text_column: str, label_column: str,
                      label_map: dict[str, int], lexicon: Lexicon, vocab: Vocabulary,
                      language: str = "english", max_len: int = MAX_SEQ_LEN) -> TaskDataset:
     """RFC-4180 CSV with a header row -> TaskDataset."""
     num_classes = max(label_map.values()) + 1
     examples: list[Example] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (text_column, label_column):
-            if col not in header:
-                raise DataError(f"{path}: missing column {col!r} (header: {header})")
-        for row in reader:
-            raw_label = row[label_column]
-            if raw_label not in label_map:
-                raise DataError(
-                    f"{path}: row {reader.line_num}: unknown label {raw_label!r}"
-                )
-            ids, bits = encode_text(row[text_column], vocab, lexicon, language, max_len)
-            examples.append(Example(ids, bits, label_map[raw_label]))
+    for line, row in read_csv_rows(path, (text_column, label_column)):
+        raw_label = row[label_column]
+        if raw_label not in label_map:
+            raise DataError(f"{path}: row {line}: unknown label {raw_label!r}")
+        ids, bits = encode_text(row[text_column], vocab, lexicon, language, max_len)
+        examples.append(Example(ids, bits, label_map[raw_label]))
     return TaskDataset(task_id, examples, num_classes)
 
 

@@ -22,10 +22,10 @@ that is True at real positions; a single sequence is a batch of one. The
 token-wise layers run on packed rows, only the real positions of the
 mask in row-major order, as one (tokens, dim) matrix: the embedding
 lookup, the query/key/value projections, ``wo`` and its dropout, and the
-``w1`` product. Attention, the ``b1``/relu/dropout/pooling tail and the
+``w1``/``b1``/relu/dropout feed-forward layer. Attention, pooling and the
 gate see the padded (batch, [heads,] seq_len, ·) layout, with zeros at
-padded positions. Dropout on packed rows draws its mask at the padded
-shape, so training draws the random numbers a padded batch would.
+padded positions. Each dropout draws one mask value per real unit it is
+given, so padded positions consume no random numbers.
 """
 
 from __future__ import annotations
@@ -216,12 +216,9 @@ def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
     q, k, v = (to_padded(matmul(x, w), mask, unit.num_heads)  # (b, H, s, d/H)
                for w in (unit.wq, unit.wk, unit.wv))
     att = attention(q, k, v, scale_mode, mask[:, None])
-    h = matmul(to_packed(att, mask), unit.wo)          # (tokens, d)
-    h = dropout(h, dropout_rate, training, rng, rows=mask)
-    # b1 is added on the padded layout so that its gradient sums in (b, s)
-    # order, as it would for a padded batch.
-    h = relu(add(to_padded(matmul(h, unit.w1), mask), unit.b1))  # (b, s, ff1)
-    h = dropout(h, dropout_rate, training, rng)
+    h = dropout(matmul(to_packed(att, mask), unit.wo), dropout_rate, training, rng)
+    h = relu(add(matmul(h, unit.w1), unit.b1))         # (tokens, ff1)
+    h = to_padded(dropout(h, dropout_rate, training, rng), mask)  # (b, s, ff1)
     pooled = concat_last([masked_max(h, mask), masked_mean(h, mask)])
     z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
     z = add(matmul(z, unit.w2b), unit.b2b)             # (b, ff2_out)

@@ -339,26 +339,18 @@ def relu(x: Tensor) -> Tensor:
     return _from_op(out, (x,), backward)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None,
-            rows: np.ndarray | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, training: bool,
+            rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval.
-
-    For packed rows x (tokens, ...) pass the (b, s) mask of their real
-    positions as ``rows``: the mask is drawn at the padded shape
-    (b, s, ...) and only the real rows are kept, so the random stream is
-    the one a padded input would draw.
-    """
+    Draws one i.i.d. keep value per element of x, so packed rows draw only
+    for their real units."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x
     if rng is None:
         raise UsageError("dropout in training mode needs an rng")
-    if rows is None:
-        keep = rng.random(x.shape) >= rate
-    else:
-        keep = (rng.random(rows.shape + x.shape[1:]) >= rate)[rows]
-    mask = keep.astype(x.dtype) / (1.0 - rate)
+    mask = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     out = x.data * mask
 
     def backward(g: np.ndarray) -> None:

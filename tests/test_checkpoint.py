@@ -166,6 +166,31 @@ def test_incomplete_meta_is_usage_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["label_names"].update({DEPRESSION: ["control"]}),
+     r"label_names\['depression'\] holds 1 names for 2 classes"),
+    (lambda meta: meta["label_names"].update({SENTIMENT: ["neg", "pos", "mixed"]}),
+     r"label_names\['sentiment'\] holds 3 names for 2 classes"),
+    (lambda meta: meta.update(vocab=meta["vocab"][:-1]),
+     "vocab holds 8 tokens, 8 distinct, for vocab_size 9"),
+    (lambda meta: meta.update(vocab=meta["vocab"][:-1] + ["w0"]),
+     "vocab holds 9 tokens, 8 distinct, for vocab_size 9"),
+], ids=["too_few_labels", "too_many_labels", "short_vocab", "repeated_token"])
+def test_inconsistent_meta_is_usage_error(tmp_path, edit, message):
+    model, vocab, lexicon, names = build()
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    rewrite_meta(path, edit)
+    with pytest.raises(UsageError, match=message):
+        load_checkpoint(path)
+
+
+def test_label_names_are_checked_only_for_the_tasks_they_name(tmp_path):
+    model, vocab, lexicon, names = build()
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon,
+                           {DEPRESSION: names[DEPRESSION]})
+    assert load_checkpoint(path).label_names == {DEPRESSION: names[DEPRESSION]}
+
+
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     model, vocab, lexicon, names = build(seed=2)
     path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)

@@ -301,15 +301,23 @@ def test_non_finite_learning_rate_flag_exits_2(workspace, tmp_path, capsys, valu
     assert not (tmp_path / "run" / "model.npz").exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_lambda_l2_in_config_exits_2(workspace, tmp_path, capsys, value):
-    # A copy of the project: its config names the data files relative to itself.
+def _project_copy(workspace, tmp_path, *replacements):
+    """A copy of the quick-start project, whose config names the data files
+    relative to itself, with each (old, new) line replaced in its config.ini."""
     data = shutil.copytree(workspace["data"], tmp_path / "data")
     ini = data / "config.ini"
     text = ini.read_text(encoding="utf-8")
-    assert "lambda_l2 = 0.0001\n" in text
-    ini.write_text(text.replace("lambda_l2 = 0.0001\n", f"lambda_l2 = {value}\n"),
-                   encoding="utf-8")
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    ini.write_text(text, encoding="utf-8")
+    return data, ini
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_lambda_l2_in_config_exits_2(workspace, tmp_path, capsys, value):
+    _, ini = _project_copy(workspace, tmp_path,
+                           ("lambda_l2 = 0.0001\n", f"lambda_l2 = {value}\n"))
     code = main(["train", str(ini), "--out", str(tmp_path / "run")])
     assert code == 2
     err = capsys.readouterr().err
@@ -327,3 +335,53 @@ def test_module_entry_point_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "train" in proc.stdout and "predict" in proc.stdout
+
+
+_NO_SENTIMENT = ("sentiment_csv = sentiment.csv\n", "")
+
+
+def test_ratio_flag_is_validated_after_it_applies(workspace, tmp_path, capsys):
+    # The file alone (ratio 1:1, no sentiment_csv) is invalid; --ratio 0:1 makes it valid.
+    _, ini = _project_copy(workspace, tmp_path, _NO_SENTIMENT)
+    code = main(["train", str(ini), "--ratio", "0:1", "--max-epochs", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "run" / "model.npz").exists()
+
+
+def test_ratio_flag_that_needs_sentiment_exits_2(workspace, tmp_path, capsys):
+    _, ini = _project_copy(workspace, tmp_path, _NO_SENTIMENT,
+                           ("ratio = 1:1\n", "ratio = 0:1\n"))
+    code = main(["train", str(ini), "--ratio", "1:1", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "missing [data] sentiment_csv" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.npz").exists()
+
+
+# csv's default field size limit is 131,072 characters; a short row lacks its text.
+_BAD_CSV = {
+    "oversized": ("label,text\n0,w1\n1," + "w1 " * 44_000 + "\n",
+                  "row 3: field larger than field limit"),
+    "short_row": ("label,text\n0,w1 w2\n1\n", "row 3: no 'text' field"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_CSV))
+@pytest.mark.parametrize("where", ["train_vocab", "train_test", "eval"])
+def test_malformed_csv_exits_1(workspace, tmp_path, capsys, where, kind):
+    # The vocabulary reads depression.csv; depression_test.csv is read only as a dataset.
+    content, message = _BAD_CSV[kind]
+    if where == "eval":
+        bad = tmp_path / "bad.csv"
+        bad.write_text(content, encoding="utf-8")
+        args = ["eval", str(workspace["out"] / "model.npz"), str(bad)]
+    else:
+        data, ini = _project_copy(workspace, tmp_path)
+        name = "depression.csv" if where == "train_vocab" else "depression_test.csv"
+        bad = data / name
+        bad.write_text(content, encoding="utf-8")
+        args = ["train", str(ini), "--out", str(tmp_path / "run"), "--max-epochs", "1"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: {message}" in err
+    assert "Traceback" not in err

@@ -661,9 +661,20 @@ def test_bucketed_inference_peaks_below_a_padded_forward():
 # ------------------------------------------------------------ packed path
 
 
+def _real_token_dropout(h, mask, rate, training, rng):
+    """Dropout on padded h (b, s, d) whose mask is drawn for the real
+    tokens only, at the packed shape (tokens, d), and then scattered."""
+    if not training or rate == 0.0:
+        return h
+    keep = np.zeros(h.shape, dtype=bool)
+    keep[mask] = rng.random((int(mask.sum()), h.shape[-1])) >= rate
+    return tensor.mul(h, Tensor(keep.astype(h.dtype) / (1.0 - rate)))
+
+
 def _padded_forward(model, batch, task_id, training=False, rng=None):
     """Reference forward with every layer on the padded (b, s, ·) layout,
-    padded positions included, and dropout drawn at the padded shape."""
+    padded positions included, and each token-wise dropout mask drawn for
+    the real tokens only."""
     cfg = model.cfg
     ids, bits, mask = model.pad_batch(batch)
     x = embed_with_markers(ids, bits, model.embedding.matrix, model.markers)
@@ -675,8 +686,9 @@ def _padded_forward(model, batch, task_id, training=False, rng=None):
                    for w in (unit.wq, unit.wk, unit.wv))
         att = attention(q, k, v, cfg.attention_scale, mask[:, None])
         h = matmul(reshape(swap_axes(att, 1, 2), (b, s, d)), unit.wo)
-        h = dropout(h, cfg.dropout, training, rng)
-        h = dropout(relu(add(matmul(h, unit.w1), unit.b1)), cfg.dropout, training, rng)
+        h = _real_token_dropout(h, mask, cfg.dropout, training, rng)
+        h = _real_token_dropout(relu(add(matmul(h, unit.w1), unit.b1)), mask,
+                                cfg.dropout, training, rng)
         pooled = concat_last([masked_max(h, mask), masked_mean(h, mask)])
         z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
         z = add(matmul(z, unit.w2b), unit.b2b)
@@ -714,14 +726,15 @@ def test_packed_forward_matches_padded_reference(dims):
             assert np.abs(got - want).max() < 1e-6, name
 
 
-def test_training_forward_draws_the_padded_dropout_masks():
+def test_training_forward_draws_dropout_masks_for_real_tokens_only():
     model = tiny_model(seed=53, dropout=0.1)
     batch = example_batch(np.random.default_rng(54), 5)
     rng = np.random.default_rng(55)
     model.forward(batch, DEPRESSION, training=True, rng=rng)
-    cfg, b, s = model.cfg, len(batch), max(len(ids) for ids, _ in batch)
+    cfg, b, tokens = model.cfg, len(batch), sum(len(ids) for ids, _ in batch)
+    assert tokens < b * max(len(ids) for ids, _ in batch)  # the batch has padding
     want = np.random.default_rng(55)
     for _ in model.experts:
-        for shape in ((b, s, cfg.model_dim), (b, s, cfg.ff1_dim), (b, cfg.ff2_out)):
+        for shape in ((tokens, cfg.model_dim), (tokens, cfg.ff1_dim), (b, cfg.ff2_out)):
             want.random(shape)
     assert rng.bit_generator.state == want.bit_generator.state

@@ -564,18 +564,6 @@ def test_dropout_backward_matches_mask():
     np.testing.assert_allclose(x.grad, mask, atol=1e-12)
 
 
-def test_dropout_on_packed_rows_draws_the_padded_mask():
-    x = np.random.default_rng(17).normal(size=(3, 4, 5))
-    padded = dropout(Tensor(x), 0.3, training=True, rng=np.random.default_rng(18))
-    rng = np.random.default_rng(18)
-    packed = dropout(Tensor(x[_ROWS]), 0.3, training=True, rng=rng, rows=_ROWS)
-    np.testing.assert_array_equal(packed.data, padded.data[_ROWS])
-    # The stream has moved past the full (3, 4, 5) draw.
-    want = np.random.default_rng(18)
-    want.random((3, 4, 5))
-    assert rng.random() == want.random()
-
-
 def test_dropout_errors():
     x = Tensor(np.ones(3))
     with pytest.raises(ConfigError):

@@ -415,7 +415,9 @@ def test_paper_shape_step_peak_memory():
     # 143 MB with every intermediate gradient kept until backward returned,
     # and 96 MB with spent gradients freed. Freeing each node's closure and
     # parents as backward passes it as well brings it to 80 MB: the 78 MB
-    # the forward holds shrinks while the gradients grow.
+    # the forward holds shrinks while the gradients grow. Running b1, relu
+    # and the tail dropout on the packed rows, and scattering once before
+    # pooling, brings it to 75 MB.
     cfg = ModelConfig(vocab_size=10, **PAPER_DIMS)
     rng = np.random.default_rng(3)
     vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
@@ -431,7 +433,7 @@ def test_paper_shape_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 88 * 2**20, peak
+    assert peak < 78 * 2**20, peak
 
 
 @pytest.mark.parametrize("dims", [ACCEPT_DIMS, PAPER_DIMS], ids=["accept", "paper"])
