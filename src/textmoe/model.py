@@ -13,19 +13,19 @@ Each expert holds one (model_dim, model_dim) matrix for each of the query,
 key and value projections. Head h owns column block h, that is columns
 h * head_dim to (h + 1) * head_dim with head_dim = model_dim // num_heads,
 and each block is drawn as its own Xavier-uniform (model_dim, head_dim)
-matrix. All heads are projected by one matmul and attend as one batch of
-shape (batch, num_heads, seq_len, head_dim); the head outputs are merged
-back in head order before the output projection ``wo``.
+matrix. All heads are projected by one matmul and attend in one
+``packed_attention`` node, whose rows hold the heads in order for ``wo``.
 
 A batch is padded to its longest sequence, with a (batch, seq_len) mask
 that is True at real positions; a single sequence is a batch of one. The
 token-wise layers run on packed rows, only the real positions of the
 mask in row-major order, as one (tokens, dim) matrix: the embedding
 lookup, the query/key/value projections, ``wo`` and its dropout, and the
-``w1``/``b1``/relu/dropout feed-forward layer. Attention, pooling and the
-gate see the padded (batch, [heads,] seq_len, ·) layout, with zeros at
-padded positions. Each dropout draws one mask value per real unit it is
-given, so padded positions consume no random numbers.
+``w1``/``b1``/relu/dropout feed-forward layer, and attention, whose
+per-head padded layout is no graph value. Pooling and the gate see the
+padded (batch, seq_len, ·) layout, with zeros at padded positions. Each
+dropout draws one mask value per real unit it is given, so padded
+positions consume no random numbers.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ import numpy as np
 
 from .data import MAX_SEQ_LEN, PAD_ID, TASK_IDS, EmbeddingTable
 from .errors import ConfigError, UsageError
-# mul and slice_last are unused here, but perfbench/spans.py wraps tensor
-# ops by the names this module imports and looks both up, so they stay.
+# add_const, mul, scale, slice_last and transpose_last are unused here, but
+# perfbench/spans.py wraps tensor ops by the names this module imports and
+# looks each of them up, so they stay.
 from .tensor import (  # noqa: F401
-    MASK_FILL,
     Tensor,
     add,
     add_const,
@@ -52,12 +52,13 @@ from .tensor import (  # noqa: F401
     matmul,
     mul,
     no_grad,
+    packed_attention,
+    padded_attention,
     relu,
     reshape,
     scale,
     slice_last,
     softmax,
-    to_packed,
     to_padded,
     transpose_last,
 )
@@ -191,20 +192,17 @@ def embed_with_markers(token_ids: np.ndarray, marker_bits: np.ndarray,
     return concat_last([words, marks])
 
 
+def _score_scale(scale_mode: str, d1: int) -> float:
+    """The factor attention scores of width d1 are multiplied by."""
+    if scale_mode not in SCALE_MODES:
+        raise ConfigError(f"unknown attention scale mode {scale_mode!r}")
+    return 1.0 / (float(d1) if scale_mode == "dim" else math.sqrt(d1))
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale_mode: str = "dim",
               key_mask: np.ndarray | None = None) -> Tensor:
     """softmax(q k^T / denom) v with masked positions forced to ~zero weight."""
-    if scale_mode not in SCALE_MODES:
-        raise ConfigError(f"unknown attention scale mode {scale_mode!r}")
-    d1 = q.shape[-1]
-    denom = float(d1) if scale_mode == "dim" else math.sqrt(d1)
-    scores = scale(matmul(q, transpose_last(k)), 1.0 / denom)  # (..., sq, sk)
-    if key_mask is not None:
-        if not key_mask.any(axis=-1).all():
-            raise UsageError("attention: every position is masked")
-        bias = np.where(key_mask, 0.0, MASK_FILL).astype(scores.dtype)
-        scores = add_const(scores, bias[..., None, :])
-    return matmul(softmax(scores), v)
+    return padded_attention(q, k, v, _score_scale(scale_mode, q.shape[-1]), key_mask)
 
 
 def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
@@ -213,10 +211,10 @@ def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
                    scale_mode: str = "dim") -> Tensor:
     """Packed rows x (tokens, model_dim) at the True positions of the
     (b, s) mask -> (b, ff2_out)."""
-    q, k, v = (to_padded(matmul(x, w), mask, unit.num_heads)  # (b, H, s, d/H)
-               for w in (unit.wq, unit.wk, unit.wv))
-    att = attention(q, k, v, scale_mode, mask[:, None])
-    h = dropout(matmul(to_packed(att, mask), unit.wo), dropout_rate, training, rng)
+    c = _score_scale(scale_mode, x.shape[-1] // unit.num_heads)
+    att = packed_attention(*(matmul(x, w) for w in (unit.wq, unit.wk, unit.wv)),
+                           mask, unit.num_heads, c)
+    h = dropout(matmul(att, unit.wo), dropout_rate, training, rng)
     h = relu(add(matmul(h, unit.w1), unit.b1))         # (tokens, ff1)
     h = to_padded(dropout(h, dropout_rate, training, rng), mask)  # (b, s, ff1)
     pooled = concat_last([masked_max(h, mask), masked_mean(h, mask)])
@@ -278,6 +276,8 @@ class MoeClassifier:
         if not batch:
             raise UsageError("forward needs a non-empty batch")
         for ex in batch:
+            if not ex[0]:
+                raise UsageError("forward needs at least one token per example")
             if len(ex[0]) != len(ex[1]):
                 raise UsageError(f"{len(ex[0])} token ids but {len(ex[1])} marker bits")
             if len(ex[0]) > self.cfg.max_seq_len:

@@ -228,9 +228,9 @@ def _scatter_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out.reshape(*mask.shape, *x.shape[1:])
 
 
-def to_padded(x: Tensor, mask: np.ndarray, heads: int | None = None) -> Tensor:
+def to_padded(x: Tensor, mask: np.ndarray) -> Tensor:
     """Packed rows x (tokens, d) -> (b, s, d) with zeros where the (b, s)
-    mask is False; with ``heads``, split into heads: (b, heads, s, d / heads).
+    mask is False.
 
     Row i of x goes to the i-th True position of mask in row-major order.
     """
@@ -240,29 +240,10 @@ def to_padded(x: Tensor, mask: np.ndarray, heads: int | None = None) -> Tensor:
     b, s = mask.shape
     d = x.shape[1]
     out = _scatter_rows(x.data, mask)
-    if heads is not None:
-        out = out.reshape(b, s, heads, d // heads).swapaxes(1, 2)
 
     def backward(g: np.ndarray) -> None:
-        if heads is None:  # take gathers short rows faster than a boolean mask
-            _accum(x, g.reshape(b * s, d).take(np.flatnonzero(mask), axis=0))
-        else:
-            _accum(x, g.swapaxes(1, 2)[mask].reshape(x.shape))
-
-    return _from_op(out, (x,), backward)
-
-
-def to_packed(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Heads (b, heads, s, dh) -> the rows at the (b, s) mask's True
-    positions, in row-major order, with the heads merged: (tokens, heads * dh).
-    The inverse of ``to_padded`` with heads."""
-    b, heads, s, dh = x.shape
-    if mask.shape != (b, s):
-        raise ShapeError(f"to_packed: mask {mask.shape} does not fit {x.shape}")
-    out = x.data.swapaxes(1, 2)[mask].reshape(-1, heads * dh)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(x, _scatter_rows(g.reshape(-1, heads, dh), mask).swapaxes(1, 2))
+        # take gathers short rows faster than a boolean mask
+        _accum(x, g.reshape(b * s, d).take(np.flatnonzero(mask), axis=0))
 
     return _from_op(out, (x,), backward)
 
@@ -393,8 +374,7 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Row softmax over the last axis, max-subtracted for stability."""
-    # In place, so only one array of x's size is allocated: attention
-    # scores are the largest arrays a forward makes.
+    # In place, so only one array of x's size is allocated.
     out = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
@@ -405,6 +385,79 @@ def softmax(x: Tensor) -> Tensor:
         _accum(x, out * (g - dot))
 
     return _from_op(out, (x,), backward)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray | None,
+            c: float) -> tuple[np.ndarray, np.ndarray]:
+    """softmax(q kᵀ · c + bias) v over the last two axes, and that softmax P.
+    It runs the ufuncs of the matmul, scale, add_const, softmax, matmul chain
+    in their order and on their operand layouts, so its values are bitwise
+    the chain's."""
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= c
+    if bias is not None:
+        p += bias
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p @ v, p
+
+
+def _attend_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, p: np.ndarray,
+                  g: np.ndarray, c: float) -> tuple[np.ndarray, ...]:
+    """dQ, dK, dV of ``_attend`` from its output's gradient g and P."""
+    dv = np.swapaxes(p, -1, -2) @ g
+    ds = g @ np.swapaxes(v, -1, -2)  # dP, made c * P ⊙ (dP - rowsum(dP ⊙ P)) in place
+    ds -= (ds * p).sum(axis=-1, keepdims=True)
+    ds *= p
+    ds *= c
+    dk = np.swapaxes(np.swapaxes(q, -1, -2) @ ds, -1, -2)
+    return ds @ k, dk, dv
+
+
+def padded_attention(q: Tensor, k: Tensor, v: Tensor, c: float,
+                     key_mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q kᵀ · c) v for q (..., sq, d), k (..., sk, d), v (..., sk, dv)
+    as one node. Keys where key_mask (..., sk) is False get ~zero weight."""
+    bias = None
+    if key_mask is not None:
+        if not key_mask.any(axis=-1).all():
+            raise UsageError("attention: every position is masked")
+        bias = np.where(key_mask, 0.0, MASK_FILL).astype(q.dtype)[..., None, :]
+    try:
+        out, p = _attend(q.data, k.data, v.data, bias, c)
+    except ValueError as e:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not "
+                         "fit each other or the mask") from e
+
+    def backward(g: np.ndarray) -> None:
+        for x, gx in zip((q, k, v), _attend_grads(q.data, k.data, v.data, p, g, c)):
+            _accum(x, _unbroadcast(gx, x.shape))
+
+    return _from_op(out, (q, k, v), backward)
+
+
+def packed_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+                     heads: int, c: float) -> Tensor:
+    """``padded_attention`` of each head, as one node, on (tokens, d) rows at
+    the (b, s) mask's True positions in row-major order. Head h owns column
+    block h of width d / heads; each sequence attends over its own rows."""
+    tokens, d = np.count_nonzero(mask), q.shape[-1]
+    if not q.shape == k.shape == v.shape == (tokens, d):
+        raise ShapeError(f"packed_attention: q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"for {tokens} real positions")
+    b, s = mask.shape
+    qh, kh, vh = (_scatter_rows(x.data, mask).reshape(b, s, heads, -1).swapaxes(1, 2)
+                  for x in (q, k, v))  # (b, heads, s, d / heads)
+    bias = np.where(mask, 0.0, MASK_FILL).astype(q.dtype)[:, None, None, :]
+    out, p = _attend(qh, kh, vh, bias, c)
+
+    def backward(g: np.ndarray) -> None:
+        g = _scatter_rows(g.reshape(tokens, heads, -1), mask).swapaxes(1, 2)
+        for x, gx in zip((q, k, v), _attend_grads(qh, kh, vh, p, g, c)):
+            _accum(x, gx.swapaxes(1, 2)[mask].reshape(tokens, d))
+
+    return _from_op(out.swapaxes(1, 2)[mask].reshape(tokens, d), (q, k, v), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -6,6 +6,20 @@ import numpy as np
 import pytest
 
 from textmoe import Tensor
+from textmoe.tensor import (
+    MASK_FILL,
+    add_const,
+    embedding_lookup,
+    matmul,
+    mul,
+    reshape,
+    scale,
+    softmax,
+    sum_all,
+    swap_axes,
+    to_padded,
+    transpose_last,
+)
 
 
 # The paper's model dimensions.
@@ -69,3 +83,44 @@ def rand_tensor(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
 @pytest.fixture
 def make_tensor():
     return rand_tensor
+
+
+# ------------------------------------------------ composed attention chains
+
+
+def composed_attention(q, k, v, c, key_mask=None):
+    """softmax(q kᵀ · c) v from single graph ops, the reference for the
+    fused attention kernel."""
+    scores = scale(matmul(q, transpose_last(k)), c)
+    if key_mask is not None:
+        bias = np.where(key_mask, 0.0, MASK_FILL).astype(scores.dtype)
+        scores = add_const(scores, bias[..., None, :])
+    return matmul(softmax(scores), v)
+
+
+def composed_packed_attention(q, k, v, mask, heads, c):
+    """Packed rows (tokens, d) through ``composed_attention`` per head: each
+    is scattered to (b, s, d), split into (b, heads, s, d / heads), and the
+    merged heads gathered back to the mask's real rows."""
+    b, s = mask.shape
+    d = q.shape[-1]
+    qh, kh, vh = (swap_axes(reshape(to_padded(x, mask), (b, s, heads, -1)), 1, 2)
+                  for x in (q, k, v))
+    att = composed_attention(qh, kh, vh, c, mask[:, None])
+    merged = reshape(swap_axes(att, 1, 2), (b * s, d))
+    return embedding_lookup(merged, np.flatnonzero(mask))
+
+
+def attention_runs(fns, shapes, args, dtype, seed):
+    """Output and q/k/v gradients of each attention fn in ``fns`` on the same
+    random q, k, v of ``shapes`` and the same upstream gradient."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    runs = []
+    for fn in fns:
+        qkv = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*qkv, *args)
+        w = Tensor(np.random.default_rng(seed + 1).normal(size=out.shape).astype(dtype))
+        sum_all(mul(out, w)).backward()
+        runs.append([out.data] + [t.grad for t in qkv])
+    return runs

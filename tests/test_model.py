@@ -23,7 +23,7 @@ from textmoe import (
 from textmoe import tensor
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Example, TaskDataset, Vocabulary
 from textmoe.metrics import evaluate
-from textmoe.model import SCALE_MODES, ExpertUnit, _Init
+from textmoe.model import SCALE_MODES, ExpertUnit, _Init, _score_scale
 from textmoe.tensor import (
     add,
     concat_last,
@@ -39,7 +39,7 @@ from textmoe.tensor import (
     swap_axes,
 )
 from textmoe.train import compute_loss, dataset_ce
-from conftest import PAPER_DIMS
+from conftest import PAPER_DIMS, composed_attention
 from test_acceptance import ACCEPT_DIMS
 
 
@@ -137,6 +137,17 @@ def test_pad_batch_rejects_sequence_longer_than_max_seq_len():
     model.pad_batch([([2] * 4, [0] * 4)])
     with pytest.raises(UsageError, match="max_seq_len 4"):
         model.pad_batch([([2] * 4, [0] * 4), ([2] * 6, [0] * 6)])
+
+
+@pytest.mark.parametrize("batch", [[([], [])], [([], []), ([], [])],
+                                   [([2, 3], [0, 1]), ([], []), ([4], [1])]],
+                         ids=["one-empty", "all-empty", "mixed"])
+def test_an_example_with_no_tokens_is_a_usage_error(batch):
+    model = tiny_model()
+    with pytest.raises(UsageError, match="at least one token"):
+        model.forward(batch, SENTIMENT)
+    with pytest.raises(UsageError, match="at least one token"):
+        model.infer(batch, DEPRESSION)
 
 
 def test_pad_batch_rejects_ids_and_bits_of_different_lengths():
@@ -684,7 +695,8 @@ def _padded_forward(model, batch, task_id, training=False, rng=None):
     for unit in model.experts:
         q, k, v = (swap_axes(reshape(matmul(x, w), (b, s, cfg.num_heads, -1)), 1, 2)
                    for w in (unit.wq, unit.wk, unit.wv))
-        att = attention(q, k, v, cfg.attention_scale, mask[:, None])
+        att = composed_attention(q, k, v, _score_scale(cfg.attention_scale, q.shape[-1]),
+                                 mask[:, None])
         h = matmul(reshape(swap_axes(att, 1, 2), (b, s, d)), unit.wo)
         h = _real_token_dropout(h, mask, cfg.dropout, training, rng)
         h = _real_token_dropout(relu(add(matmul(h, unit.w1), unit.b1)), mask,

@@ -1,6 +1,7 @@
 """Randomised model invariants: bucketed inference against one-line
-forwards (padding invariance), gate rows summing to 1, and the sentiment
-batch count of an epoch schedule.
+forwards (padding invariance), fused attention against its composed
+chain, gate rows summing to 1, and the sentiment batch count of an epoch
+schedule.
 """
 
 import numpy as np
@@ -21,6 +22,13 @@ from textmoe import (  # noqa: E402
     schedule_epoch,
 )
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary  # noqa: E402
+from textmoe.model import SCALE_MODES, _score_scale  # noqa: E402
+from textmoe.tensor import packed_attention, padded_attention  # noqa: E402
+from conftest import (  # noqa: E402
+    attention_runs,
+    composed_attention,
+    composed_packed_attention,
+)
 
 FEW = settings(max_examples=25, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -47,6 +55,30 @@ def test_infer_matches_one_line_forwards_in_input_order(lengths, batch_size, see
     got = model.infer(lines, DEPRESSION, batch_size=batch_size)
     alone = np.stack([model.forward([line], DEPRESSION).data[0] for line in lines])
     assert np.abs(got - alone).max() <= 1e-5
+
+
+@FEW
+@given(b=st.integers(1, 4), s=st.integers(1, 7), heads=st.integers(1, 3),
+       head_dim=st.integers(1, 4), mode=st.sampled_from(SCALE_MODES), seed=SEEDS)
+def test_fused_attention_matches_the_composed_chain(b, s, heads, head_dim, mode, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((b, s)) < 0.6
+    mask[np.arange(b), rng.integers(0, s, size=b)] = True  # >= 1 real position a row
+    tokens, c = int(mask.sum()), _score_scale(mode, head_dim)
+    packed = (packed_attention, composed_packed_attention)
+    shapes = [(tokens, heads * head_dim)] * 3
+    for dtype in (np.float32, np.float64):
+        fused, composed = attention_runs(packed, shapes, (mask, heads, c), dtype, seed)
+        for got, want in zip(fused, composed):
+            if dtype == np.float32:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-12
+    # The padded op, as model.attention runs it, under the same key mask.
+    fused, composed = attention_runs((padded_attention, composed_attention),
+                                     [(b, s, head_dim)] * 3, (c, mask), np.float32, seed)
+    for got, want in zip(fused, composed):
+        np.testing.assert_array_equal(got, want)
 
 
 @FEW

@@ -22,6 +22,8 @@ from textmoe.tensor import (
     matmul,
     mul,
     no_grad,
+    packed_attention,
+    padded_attention,
     relu,
     reshape,
     scale,
@@ -29,11 +31,16 @@ from textmoe.tensor import (
     softmax,
     sum_all,
     swap_axes,
-    to_packed,
     to_padded,
     transpose_last,
 )
-from conftest import max_rel_err, rand_tensor
+from conftest import (
+    attention_runs,
+    composed_attention,
+    composed_packed_attention,
+    max_rel_err,
+    rand_tensor,
+)
 
 
 # ----------------------------------------------------------------- basics
@@ -304,38 +311,13 @@ def test_to_padded_places_rows_and_zeroes_padding():
     assert padded.shape == (3, 4, 6)
     np.testing.assert_array_equal(padded[_ROWS], x)
     np.testing.assert_array_equal(padded[~_ROWS], 0.0)
-    # With heads: what reshape and swap_axes make of the padded rows.
-    heads = to_padded(Tensor(x), _ROWS, 3).data
-    np.testing.assert_array_equal(heads, padded.reshape(3, 4, 3, 2).swapaxes(1, 2))
 
 
-def test_to_packed_inverts_to_padded_with_heads():
-    x = np.random.default_rng(40).normal(size=(7, 6))
-    heads = to_padded(Tensor(x), _ROWS, 2)
-    np.testing.assert_array_equal(to_packed(heads, _ROWS).data, x)
-    # The merge is swap_axes then reshape, restricted to the real rows.
-    merged = np.swapaxes(heads.data, 1, 2).reshape(3, 4, 6)
-    np.testing.assert_array_equal(to_packed(heads, _ROWS).data, merged[_ROWS])
-
-
-@pytest.mark.parametrize("heads", [None, 1, 3])
-def test_grad_to_padded(gradcheck, heads):
+def test_grad_to_padded(gradcheck):
     rng = np.random.default_rng(41)
     x = rand_tensor(rng, (7, 6))
-    shape = (3, 4, 6) if heads is None else (3, heads, 4, 6 // heads)
-    w = Tensor(rng.normal(size=shape), dtype=np.float64)
-    gradcheck(lambda: sum_all(mul(to_padded(x, _ROWS, heads), w)), [x])
-
-
-def test_grad_to_packed(gradcheck):
-    rng = np.random.default_rng(42)
-    x = rand_tensor(rng, (3, 2, 4, 3))
-    w = Tensor(rng.normal(size=(7, 6)), dtype=np.float64)
-    gradcheck(lambda: sum_all(mul(to_packed(x, _ROWS), w)), [x])
-    # Padded positions get exactly zero.
-    x.grad = None
-    sum_all(to_packed(x, _ROWS)).backward()
-    np.testing.assert_array_equal(np.swapaxes(x.grad, 1, 2)[~_ROWS], 0.0)
+    w = Tensor(rng.normal(size=(3, 4, 6)), dtype=np.float64)
+    gradcheck(lambda: sum_all(mul(to_padded(x, _ROWS), w)), [x])
 
 
 def test_layout_op_shape_errors():
@@ -343,8 +325,60 @@ def test_layout_op_shape_errors():
         to_padded(Tensor(np.ones((6, 4))), _ROWS)
     with pytest.raises(ShapeError, match="to_padded"):
         to_padded(Tensor(np.ones((3, 4, 2))), _ROWS)
-    with pytest.raises(ShapeError, match="to_packed"):
-        to_packed(Tensor(np.ones((3, 2, 5, 2))), _ROWS)
+
+
+# ---------------------------------------------------------------- attention
+
+
+def attention_pair(op, dtype):
+    """Output and dQ/dK/dV of the fused op and of its composed chain."""
+    if op == "packed":  # the 7 real rows of _ROWS, 3 heads of width 2
+        return attention_runs((packed_attention, composed_packed_attention),
+                              [(7, 6)] * 3, (_ROWS, 3, 0.5), dtype, seed=43)
+    mask = np.array([[True, True, False, True, False], [True] * 5])
+    return attention_runs((padded_attention, composed_attention),
+                          [(2, 3, 4), (2, 5, 4), (2, 5, 3)], (0.25, mask), dtype, seed=43)
+
+
+@pytest.mark.parametrize("op", ["packed", "padded"])
+def test_fused_attention_is_bitwise_the_composed_chain_in_float32(op):
+    # The kernel runs the chain's ufuncs in its order and on its layouts.
+    for got, want in zip(*attention_pair(op, np.float32)):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("op", ["packed", "padded"])
+def test_fused_attention_matches_the_composed_chain_in_float64(op):
+    for got, want in zip(*attention_pair(op, np.float64)):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_grad_packed_attention(gradcheck):
+    rng = np.random.default_rng(44)
+    q, k, v = (rand_tensor(rng, (7, 6)) for _ in range(3))
+    w = Tensor(rng.normal(size=(7, 6)), dtype=np.float64)
+    gradcheck(lambda: sum_all(mul(packed_attention(q, k, v, _ROWS, 3, 0.7), w)),
+              [q, k, v])
+
+
+def test_grad_padded_attention(gradcheck):
+    rng = np.random.default_rng(45)
+    q, k, v = (rand_tensor(rng, shape) for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
+    mask = np.array([[True, False, True, True, False], [True] * 5])
+    w = Tensor(rng.normal(size=(2, 3, 3)), dtype=np.float64)
+    gradcheck(lambda: sum_all(mul(padded_attention(q, k, v, 0.5, mask), w)), [q, k, v])
+
+
+def test_attention_shape_errors():
+    rows = Tensor(np.ones((7, 6)))
+    with pytest.raises(ShapeError, match="packed_attention"):
+        packed_attention(rows, rows, Tensor(np.ones((6, 6))), _ROWS, 3, 1.0)
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeError, match="attention"):
+        padded_attention(x, Tensor(np.ones((2, 3, 5))), x, 1.0)
+    with pytest.raises(ShapeError, match="attention"):
+        padded_attention(x, x, x, 1.0, np.ones((5, 3), dtype=bool))
 
 
 def test_grad_softmax(gradcheck):
