@@ -206,9 +206,9 @@ def cmd_ratio_sweep(args: argparse.Namespace) -> int:
 def cmd_init(args: argparse.Namespace) -> int:
     """Scaffold a self-contained synthetic quick-start into a directory."""
     out = args.outdir
-    os.makedirs(out, exist_ok=True)
     synth = synth_generate(args.seed, args.n_per_task, args.vocab_size,
                            args.signal, n_test_per_task=max(50, args.n_per_task // 4))
+    os.makedirs(out, exist_ok=True)
     write_csv(os.path.join(out, "sentiment.csv"),
               dataset_rows(synth.sentiment, synth.vocab))
     write_csv(os.path.join(out, "depression.csv"),

@@ -35,19 +35,19 @@ def parse_ratio(text: str) -> tuple[int, int]:
 
 
 def parse_labels(text: str) -> tuple[tuple[str, int], ...]:
-    """'neg:0,pos:1' -> (('neg', 0), ('pos', 1)); indices must cover 0..C-1."""
+    """'neg:0,pos:1' -> (('neg', 0), ('pos', 1)); distinct names, indices 0..C-1."""
     pairs = []
     for part in text.split(","):
-        name, sep, idx = part.strip().rpartition(":")
+        name, sep, idx = (s.strip() for s in part.rpartition(":"))
         if not sep or not name:
             raise ConfigError(f"labels entry must look like 'name:index', got {part!r}")
         try:
             pairs.append((name, int(idx)))
         except ValueError:
             raise ConfigError(f"label index must be an integer, got {part!r}") from None
-    indices = sorted(i for _, i in pairs)
-    if indices != list(range(len(pairs))):
-        raise ConfigError(f"label indices must cover 0..{len(pairs) - 1}, got {text!r}")
+    if sorted(i for _, i in pairs) != list(range(len(pairs))) or len(dict(pairs)) < len(pairs):
+        raise ConfigError(f"labels need distinct names and indices 0..{len(pairs) - 1}, "
+                          f"got {text!r}")
     return tuple(pairs)
 
 

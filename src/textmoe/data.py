@@ -320,6 +320,8 @@ def synth_generate(seed: int, n_per_task: int, vocab_size: int, signal: float,
         )
     if not 0.0 <= signal <= 1.0:
         raise ConfigError(f"signal must be in [0, 1], got {signal}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n_planted = max(2, round(vocab_size * planted_fraction))
     planted = [f"neg{i}" for i in range(n_planted)]

@@ -437,27 +437,33 @@ def padded_attention(q: Tensor, k: Tensor, v: Tensor, c: float,
     return _from_op(out, (q, k, v), backward)
 
 
-def packed_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
-                     heads: int, c: float) -> Tensor:
-    """``padded_attention`` of each head, as one node, on (tokens, d) rows at
-    the (b, s) mask's True positions in row-major order. Head h owns column
-    block h of width d / heads; each sequence attends over its own rows."""
-    tokens, d = np.count_nonzero(mask), q.shape[-1]
-    if not q.shape == k.shape == v.shape == (tokens, d):
-        raise ShapeError(f"packed_attention: q {q.shape}, k {k.shape}, v {v.shape} "
-                         f"for {tokens} real positions")
+def packed_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+                     mask: np.ndarray, heads: int, c: float) -> Tensor:
+    """A self-attention layer as one node on (tokens, d_in) rows x at the (b, s)
+    mask's True positions in row-major order: ``padded_attention`` of head h (column
+    block h of x @ wq, x @ wk, x @ wv) over its sequence's rows, merged and times wo."""
+    tokens, d = np.count_nonzero(mask), wq.shape[-1]
+    if not (x.ndim == wo.ndim == 2 and (x.shape[0], wo.shape[0]) == (tokens, d)
+            and wq.shape == wk.shape == wv.shape == (x.shape[1], d)):
+        raise ShapeError(f"packed_attention: x {x.shape}, wq {wq.shape}, wk {wk.shape}, "
+                         f"wv {wv.shape}, wo {wo.shape} for {tokens} real positions")
     b, s = mask.shape
-    qh, kh, vh = (_scatter_rows(x.data, mask).reshape(b, s, heads, -1).swapaxes(1, 2)
-                  for x in (q, k, v))  # (b, heads, s, d / heads)
-    bias = np.where(mask, 0.0, MASK_FILL).astype(q.dtype)[:, None, None, :]
+    qh, kh, vh = (_scatter_rows(x.data @ w.data, mask).reshape(b, s, heads, -1)
+                  .swapaxes(1, 2) for w in (wq, wk, wv))  # (b, heads, s, d / heads)
+    bias = np.where(mask, 0.0, MASK_FILL).astype(qh.dtype)[:, None, None, :]
     out, p = _attend(qh, kh, vh, bias, c)
+    att = out.swapaxes(1, 2)[mask].reshape(tokens, d)
 
     def backward(g: np.ndarray) -> None:
-        g = _scatter_rows(g.reshape(tokens, heads, -1), mask).swapaxes(1, 2)
-        for x, gx in zip((q, k, v), _attend_grads(qh, kh, vh, p, g, c)):
-            _accum(x, gx.swapaxes(1, 2)[mask].reshape(tokens, d))
+        # matmul's backward of each product, in the order its nodes ran: bitwise.
+        _accum(wo, att.T @ g)
+        g = _scatter_rows((g @ wo.data.T).reshape(tokens, heads, -1), mask).swapaxes(1, 2)
+        for w, gh in zip((wq, wk, wv), _attend_grads(qh, kh, vh, p, g, c)):
+            gh = gh.swapaxes(1, 2)[mask].reshape(tokens, d)
+            _accum(x, gh @ w.data.T)
+            _accum(w, x.data.T @ gh)
 
-    return _from_op(out.swapaxes(1, 2)[mask].reshape(tokens, d), (q, k, v), backward)
+    return _from_op(att @ wo.data, (x, wq, wk, wv, wo), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

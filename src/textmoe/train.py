@@ -55,6 +55,8 @@ class TrainConfig:
     validation_fraction: float = 0.1
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}")

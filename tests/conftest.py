@@ -98,29 +98,30 @@ def composed_attention(q, k, v, c, key_mask=None):
     return matmul(softmax(scores), v)
 
 
-def composed_packed_attention(q, k, v, mask, heads, c):
-    """Packed rows (tokens, d) through ``composed_attention`` per head: each
-    is scattered to (b, s, d), split into (b, heads, s, d / heads), and the
-    merged heads gathered back to the mask's real rows."""
+def composed_packed_attention(x, wq, wk, wv, wo, mask, heads, c):
+    """Packed rows x (tokens, d_in) through the attention layer built from
+    single graph ops: ``matmul`` projections, each scattered to (b, s, d) and
+    split into (b, heads, s, d / heads), ``composed_attention`` per head, the
+    merged heads gathered back to the mask's real rows, and ``matmul`` by wo."""
     b, s = mask.shape
-    d = q.shape[-1]
-    qh, kh, vh = (swap_axes(reshape(to_padded(x, mask), (b, s, heads, -1)), 1, 2)
-                  for x in (q, k, v))
+    d = wq.shape[-1]
+    qh, kh, vh = (swap_axes(reshape(to_padded(matmul(x, w), mask), (b, s, heads, -1)), 1, 2)
+                  for w in (wq, wk, wv))
     att = composed_attention(qh, kh, vh, c, mask[:, None])
     merged = reshape(swap_axes(att, 1, 2), (b * s, d))
-    return embedding_lookup(merged, np.flatnonzero(mask))
+    return matmul(embedding_lookup(merged, np.flatnonzero(mask)), wo)
 
 
 def attention_runs(fns, shapes, args, dtype, seed):
-    """Output and q/k/v gradients of each attention fn in ``fns`` on the same
-    random q, k, v of ``shapes`` and the same upstream gradient."""
+    """Output and input gradients of each attention fn in ``fns`` on the same
+    random inputs of ``shapes`` and the same upstream gradient."""
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
     runs = []
     for fn in fns:
-        qkv = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        out = fn(*qkv, *args)
+        inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*inputs, *args)
         w = Tensor(np.random.default_rng(seed + 1).normal(size=out.shape).astype(dtype))
         sum_all(mul(out, w)).backward()
-        runs.append([out.data] + [t.grad for t in qkv])
+        runs.append([out.data] + [t.grad for t in inputs])
     return runs

@@ -324,6 +324,21 @@ def test_non_finite_lambda_l2_in_config_exits_2(workspace, tmp_path, capsys, val
     assert "lambda_l2 must be >= 0 and finite" in err and "weight_decay" not in err
 
 
+@pytest.mark.parametrize("where", ["train flag", "config key", "init flag"])
+def test_negative_seed_exits_2(workspace, tmp_path, capsys, where):
+    if where == "init flag":
+        code = main(["init", str(tmp_path / "proj"), "--seed", "-1"])
+    elif where == "train flag":
+        code = main(["train", str(workspace["data"] / "config.ini"),
+                     "--out", str(tmp_path / "run"), "--seed", "-1"])
+    else:
+        _, ini = _project_copy(workspace, tmp_path, ("seed = 3\n", "seed = -1\n"))
+        code = main(["train", str(ini), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "proj").exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])

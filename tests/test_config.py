@@ -31,7 +31,8 @@ def test_parse_ratio():
 def test_parse_labels():
     assert parse_labels("neg:0,pos:1") == (("neg", 0), ("pos", 1))
     assert parse_labels("a:1, b:0") == (("a", 1), ("b", 0))
-    for bad in ("neg", "neg:0,pos:2", "neg:x", ":0"):
+    assert parse_labels("neg : 0, pos : 1") == (("neg", 0), ("pos", 1))
+    for bad in ("neg", "neg:0,pos:2", "neg:x", ":0", " :0", "a:0,a:1", "a:0, a :1"):
         with pytest.raises(ConfigError):
             parse_labels(bad)
 

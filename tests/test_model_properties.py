@@ -59,14 +59,16 @@ def test_infer_matches_one_line_forwards_in_input_order(lengths, batch_size, see
 
 @FEW
 @given(b=st.integers(1, 4), s=st.integers(1, 7), heads=st.integers(1, 3),
-       head_dim=st.integers(1, 4), mode=st.sampled_from(SCALE_MODES), seed=SEEDS)
-def test_fused_attention_matches_the_composed_chain(b, s, heads, head_dim, mode, seed):
+       head_dim=st.integers(1, 4), d_in=st.integers(1, 5), d_out=st.integers(1, 5),
+       mode=st.sampled_from(SCALE_MODES), seed=SEEDS)
+def test_fused_attention_matches_the_composed_chain(b, s, heads, head_dim, d_in, d_out,
+                                                    mode, seed):
     rng = np.random.default_rng(seed)
     mask = rng.random((b, s)) < 0.6
     mask[np.arange(b), rng.integers(0, s, size=b)] = True  # >= 1 real position a row
-    tokens, c = int(mask.sum()), _score_scale(mode, head_dim)
+    tokens, c, d = int(mask.sum()), _score_scale(mode, head_dim), heads * head_dim
     packed = (packed_attention, composed_packed_attention)
-    shapes = [(tokens, heads * head_dim)] * 3
+    shapes = [(tokens, d_in), (d_in, d), (d_in, d), (d_in, d), (d, d_out)]
     for dtype in (np.float32, np.float64):
         fused, composed = attention_runs(packed, shapes, (mask, heads, c), dtype, seed)
         for got, want in zip(fused, composed):

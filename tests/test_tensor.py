@@ -331,10 +331,13 @@ def test_layout_op_shape_errors():
 
 
 def attention_pair(op, dtype):
-    """Output and dQ/dK/dV of the fused op and of its composed chain."""
-    if op == "packed":  # the 7 real rows of _ROWS, 3 heads of width 2
+    """Output and input gradients of the fused op and of its composed chain:
+    dx, dWq, dWk, dWv and dWo for the packed layer, dQ, dK and dV for the
+    padded op."""
+    if op == "packed":  # the 7 real rows of _ROWS, d_in 5, 3 heads of width 2, d_out 4
         return attention_runs((packed_attention, composed_packed_attention),
-                              [(7, 6)] * 3, (_ROWS, 3, 0.5), dtype, seed=43)
+                              [(7, 5), (5, 6), (5, 6), (5, 6), (6, 4)], (_ROWS, 3, 0.5),
+                              dtype, seed=43)
     mask = np.array([[True, True, False, True, False], [True] * 5])
     return attention_runs((padded_attention, composed_attention),
                           [(2, 3, 4), (2, 5, 4), (2, 5, 3)], (0.25, mask), dtype, seed=43)
@@ -356,10 +359,11 @@ def test_fused_attention_matches_the_composed_chain_in_float64(op):
 
 def test_grad_packed_attention(gradcheck):
     rng = np.random.default_rng(44)
-    q, k, v = (rand_tensor(rng, (7, 6)) for _ in range(3))
-    w = Tensor(rng.normal(size=(7, 6)), dtype=np.float64)
-    gradcheck(lambda: sum_all(mul(packed_attention(q, k, v, _ROWS, 3, 0.7), w)),
-              [q, k, v])
+    x, wq, wk, wv, wo = (rand_tensor(rng, shape)
+                         for shape in ((7, 5), (5, 6), (5, 6), (5, 6), (6, 4)))
+    w = Tensor(rng.normal(size=(7, 4)), dtype=np.float64)
+    gradcheck(lambda: sum_all(mul(packed_attention(x, wq, wk, wv, wo, _ROWS, 3, 0.7), w)),
+              [x, wq, wk, wv, wo])
 
 
 def test_grad_padded_attention(gradcheck):
@@ -371,9 +375,15 @@ def test_grad_padded_attention(gradcheck):
 
 
 def test_attention_shape_errors():
-    rows = Tensor(np.ones((7, 6)))
-    with pytest.raises(ShapeError, match="packed_attention"):
-        packed_attention(rows, rows, Tensor(np.ones((6, 6))), _ROWS, 3, 1.0)
+    w, wo = Tensor(np.ones((5, 6))), Tensor(np.ones((6, 4)))
+    with pytest.raises(ShapeError, match="packed_attention"):  # 6 rows for 7 positions
+        packed_attention(Tensor(np.ones((6, 5))), w, w, w, wo, _ROWS, 3, 1.0)
+    x = Tensor(np.ones((7, 5)))
+    bad = [(Tensor(np.ones((5, 4))), wo), (Tensor(np.ones((6, 6))), wo),  # wk's columns, rows
+           (w, Tensor(np.ones((4, 4)))), (w, Tensor(np.ones(6)))]  # wo's rows, a 1-d wo
+    for wk, out_proj in bad:
+        with pytest.raises(ShapeError, match="packed_attention"):
+            packed_attention(x, w, wk, w, out_proj, _ROWS, 3, 1.0)
     x = Tensor(np.ones((2, 3, 4)))
     with pytest.raises(ShapeError, match="attention"):
         padded_attention(x, Tensor(np.ones((2, 3, 5))), x, 1.0)

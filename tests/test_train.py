@@ -392,8 +392,10 @@ def test_training_loss_graph_size_at_acceptance_shape():
     # at ACCEPT_DIMS and 335 at the paper shape. The packed layout ops
     # replace a reshape and a swap_axes per head split and merge, which
     # took 102 and 192 nodes; that left 97 and 181. One packed_attention
-    # node per expert replaces its 10 nodes from the Q/K/V products to wo.
-    for dims, bound in ((ACCEPT_DIMS, 79), (PAPER_DIMS, 145)):
+    # node per expert replaced its 10 nodes from the Q/K/V products to wo
+    # (79 and 145), and taking the Q/K/V and wo products into it leaves 71
+    # and 129.
+    for dims, bound in ((ACCEPT_DIMS, 71), (PAPER_DIMS, 129)):
         cfg = ModelConfig(vocab_size=10, **dims)
         rng = np.random.default_rng(0)
         vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
@@ -420,7 +422,8 @@ def test_paper_shape_step_peak_memory():
     # and the tail dropout on the packed rows, and scattering once before
     # pooling, brings it to 75 MB. Fused attention keeps only the softmax
     # of each expert, not the scores and their scaled and masked copies as
-    # well: 68 MB.
+    # well: 68 MB. Projecting inside that node keeps the padded Q/K/V heads
+    # but not their packed products as graph values: 58 MB.
     cfg = ModelConfig(vocab_size=10, **PAPER_DIMS)
     rng = np.random.default_rng(3)
     vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
@@ -436,7 +439,7 @@ def test_paper_shape_step_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 71 * 2**20, peak
+    assert peak < 61 * 2**20, peak
 
 
 @pytest.mark.parametrize("dims", [ACCEPT_DIMS, PAPER_DIMS], ids=["accept", "paper"])
