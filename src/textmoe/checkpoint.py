@@ -19,7 +19,17 @@ Loading maps the file copy-on-write and takes every entry from that
 mapping: an aligned entry stays a view of it, and any other entry
 (``np.savez`` puts most of its entries at arbitrary offsets) is copied
 out of it. Each entry's CRC-32 is checked over its stored bytes, .npy
-header and data, before use. A compressed archive is not a checkpoint.
+header and data. A compressed archive is not a checkpoint.
+
+An archive of at least 8 MiB of stored bytes is checked on two threads:
+a worker checks the largest entries while the loading thread parses the
+meta and builds the model, then the loading thread checks the rest and
+joins the worker. ``load_checkpoint`` returns only after every check has
+passed, so it never hands out unverified weights, and a checksum failure
+is reported in place of any meta or config error. With a single CPU
+the second thread gains nothing. A smaller archive is checked on the
+loading thread alone, where starting a thread would cost more than it
+saves.
 
 A loaded parameter is private: writing to it never reaches the file. The
 mapping does see the file, though, so truncating or rewriting a loaded
@@ -34,8 +44,11 @@ import json
 import math
 import mmap
 import struct
+import threading
 import zipfile
 import zlib
+from collections import deque
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,6 +63,8 @@ FORMAT_VERSION = 2
 _PARAM = "param/"
 _ALIGN = 64
 _PAD_ID = 0xD935  # zipalign's extra-field ID for alignment padding
+# Archives with this many stored bytes check their CRC-32s on two threads.
+_THREAD_MIN_BYTES = 8 << 20
 
 
 @dataclass
@@ -130,17 +145,62 @@ def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[int, int, np.dtype, tuple,
     return start, fh.tell(), dtype, shape, "F" if fortran else "C"
 
 
-def _read_archive(path: str) -> tuple[str, dict[str, np.ndarray]]:
-    """The meta text and parameter arrays of the archive at ``path``.
+def _start_checks(path: str, checks: list[tuple[str, np.ndarray, int]]) -> Callable[[], None]:
+    """Start checking each ``(file name, stored bytes, CRC-32)`` of
+    ``checks`` on a worker thread, and return the function that finishes:
+    it checks what is left on the calling thread, joins the worker, and
+    raises UsageError for the first entry, in ``checks`` order, whose
+    CRC-32 does not match.
+
+    The worker takes the largest entries first while the caller goes on;
+    the caller takes the smallest ones when it finishes. zlib.crc32
+    releases the GIL over large buffers, so the two run at once.
+    """
+    by_size = deque(sorted(range(len(checks)), key=lambda i: -checks[i][1].size))
+    good = [False] * len(checks)  # False until checked: a lost check fails the load
+
+    def check(take: Callable[[], int]) -> None:
+        while True:
+            try:
+                i = take()
+            except IndexError:
+                return
+            _, stored, crc = checks[i]
+            good[i] = zlib.crc32(stored) == crc
+
+    worker = threading.Thread(target=check, args=(by_size.popleft,), name="checkpoint-crc32")
+    worker.start()
+
+    def finish() -> None:
+        try:
+            check(by_size.pop)
+        finally:
+            worker.join()
+        for (name, _, _), ok in zip(checks, good):
+            if not ok:
+                raise UsageError(f"{path}: not a checkpoint: {name}: CRC-32 mismatch")
+
+    return finish
+
+
+def _read_archive(path: str) -> tuple[np.ndarray, dict[str, np.ndarray], Callable[[], None]]:
+    """The meta entry and parameter arrays of the archive at ``path``, and
+    the function that finishes checking them.
 
     Every entry comes from one copy-on-write mapping of the file, and is
     checked against its CRC-32 over its stored bytes (.npy header and
-    data) before use. An entry whose array data starts at a 64-byte file
-    offset stays a view of the mapping; any other is copied out of it.
+    data). An entry whose array data starts at a 64-byte file offset stays
+    a view of the mapping; any other is copied out of it.
+
+    An archive of at least _THREAD_MIN_BYTES stored bytes starts its checks
+    on a second thread (_start_checks) and returns with them still running:
+    its arrays are unverified until the returned function has returned. A
+    smaller one is checked here, entry by entry, where a thread would cost
+    more than it saves; its returned function does nothing.
 
     A file that is not an .npz archive of plain stored arrays, or whose
-    entry fails its checksum, raises UsageError; a missing or unreadable
-    file keeps its OSError.
+    entry fails its checksum, raises UsageError, here or from the returned
+    function; a missing or unreadable file keeps its OSError.
     """
     try:
         with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
@@ -149,25 +209,43 @@ def _read_archive(path: str) -> tuple[str, dict[str, np.ndarray]]:
                 raise UsageError(f"{path}: not a checkpoint: no meta entry")
             layouts = {name: _entry_layout(fh, info) for name, info in entries.items()}
             mapped = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY), np.uint8)
-            found = {}
+            threaded = sum(info.file_size for info in entries.values()) >= _THREAD_MIN_BYTES
+            found, checks = {}, []
             for name, info in entries.items():
                 start, at, dtype, shape, order = layouts[name]
                 end = start + info.file_size
                 if end > mapped.size:
                     raise EOFError(f"{info.filename}: truncated")
-                if zlib.crc32(mapped[start:end]) != info.CRC:
+                if threaded:
+                    checks.append((info.filename, mapped[start:end], info.CRC))
+                elif zlib.crc32(mapped[start:end]) != info.CRC:
                     raise zipfile.BadZipFile(f"{info.filename}: CRC-32 mismatch")
                 data = mapped[at:end] if at % _ALIGN == 0 else mapped[at:end].copy()
                 found[name] = data.view(dtype).reshape(shape, order=order)
     # ValueError: object data or a malformed entry; EOFError: a short file.
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise UsageError(f"{path}: not a checkpoint: {e}") from None
-    meta = str(found["meta"][()])
-    return meta, {k[len(_PARAM):]: v for k, v in found.items() if k.startswith(_PARAM)}
+    params = {k[len(_PARAM):]: v for k, v in found.items() if k.startswith(_PARAM)}
+    return found["meta"], params, _start_checks(path, checks) if threaded else lambda: None
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    text, arrays = _read_archive(path)
+    """The checkpoint at ``path``, every entry checked against its CRC-32.
+
+    A large archive's model is built while its checks run; a checksum
+    failure raises UsageError in place of any meta or config error the
+    build met.
+    """
+    meta, arrays, finish_checks = _read_archive(path)
+    try:
+        return _build(path, str(meta[()]), arrays)
+    finally:
+        finish_checks()
+
+
+def _build(path: str, text: str, arrays: dict[str, np.ndarray]) -> Checkpoint:
+    """The checkpoint that the meta ``text`` and ``arrays`` describe; a
+    corrupt, incomplete or inconsistent meta raises UsageError."""
     try:
         meta = json.loads(text)
     except json.JSONDecodeError as e:

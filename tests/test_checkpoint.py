@@ -3,9 +3,13 @@
 import json
 import mmap
 import struct
+import sys
+import threading
 import tracemalloc
 import zipfile
+import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from textmoe import (
     load_checkpoint,
     save_checkpoint,
 )
+from textmoe import checkpoint
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
 
 
@@ -396,3 +401,158 @@ def test_savez_archive_load_copies_each_entry_once(tmp_path):
     assert not is_mapped(loaded.embedding.matrix.data)
     np.testing.assert_array_equal(loaded.embedding.matrix.data, model.embedding.matrix.data)
     assert peak < 1.25 * weight_bytes, (peak, weight_bytes)
+
+
+# ------------------------------------------------------- threaded CRC checks
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Check CRC-32s on the worker thread at any archive size. Each thread's
+    first check waits until the other thread has begun one, so the worker
+    takes the largest entry and the main thread the smallest. Returns the
+    (checked on the worker, file offset) of each check of the last load."""
+    monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", 0)
+    log, began = [], {True: threading.Event(), False: threading.Event()}
+
+    def crc32(data):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        began[on_worker].set()
+        if not began[not on_worker].wait(10):
+            raise RuntimeError("only one thread checked entries")
+        log.append((on_worker, data.ctypes.data - data.base.ctypes.data))
+        return zlib.crc32(data)
+
+    start_checks = checkpoint._start_checks
+
+    def start_checks_afresh(path, checks):
+        log.clear()
+        for event in began.values():
+            event.clear()
+        return start_checks(path, checks)
+
+    monkeypatch.setattr(checkpoint, "zlib", SimpleNamespace(crc32=crc32))
+    monkeypatch.setattr(checkpoint, "_start_checks", start_checks_afresh)
+    return log
+
+
+def stored_offsets(path):
+    """Entry name by the file offset of its stored bytes."""
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+        offsets = {}
+        for info in zf.infolist():
+            fh.seek(info.header_offset + 26)
+            name_len, extra_len = struct.unpack("<HH", fh.read(4))
+            start = info.header_offset + 30 + name_len + extra_len
+            offsets[start] = info.filename.removesuffix(".npy")
+    return offsets
+
+
+def first_checked(log, on_worker):
+    return next(at for worker, at in log if worker == on_worker)
+
+
+def test_threaded_load_is_bitwise_the_inline_load(tmp_path, threaded):
+    model, vocab, lexicon, names = build(seed=20)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checkpoint, "_THREAD_MIN_BYTES", 1 << 62)
+        mp.setattr(checkpoint, "zlib", zlib)
+        inline = load_checkpoint(path).model
+    before = threading.enumerate()
+    loaded = load_checkpoint(path).model
+    assert threading.enumerate() == before
+    # Every entry checked once; the worker began with the largest.
+    offsets = stored_offsets(path)
+    assert sorted(at for _, at in threaded) == sorted(offsets)
+    assert offsets[first_checked(threaded, True)] == "meta"
+    batch = [([2, 3, 4], [1, 0, 0]), ([5, 6], [0, 1])]
+    for task in (SENTIMENT, DEPRESSION):
+        np.testing.assert_array_equal(loaded.forward(batch, task).data,
+                                      inline.forward(batch, task).data)
+    for (name, a), (_, b) in zip(inline.named_parameters(), loaded.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "main"])
+def test_threaded_load_catches_a_flipped_byte(tmp_path, threaded, on_worker):
+    model, vocab, lexicon, names = build(seed=21)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    load_checkpoint(path)
+    at = first_checked(threaded, on_worker)
+    entry = stored_offsets(path)[at]
+    flip_last_data_byte(path, entry)
+    before = threading.enumerate()
+    with pytest.raises(UsageError, match=f"{entry}.npy: CRC"):
+        load_checkpoint(path)
+    assert threading.enumerate() == before
+    assert first_checked(threaded, on_worker) == at
+
+
+@pytest.mark.parametrize("threshold", [0, checkpoint._THREAD_MIN_BYTES],
+                         ids=["thread", "inline"])
+def test_checksum_failure_precedes_an_incomplete_meta(tmp_path, monkeypatch, threshold):
+    monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", threshold)
+    model, vocab, lexicon, names = build(seed=22)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    rewrite_meta(path, lambda meta: meta.pop("vocab"))
+    with pytest.raises(UsageError, match="incomplete"):
+        load_checkpoint(path)
+    flip_last_data_byte(path, "param/embedding")
+    with pytest.raises(UsageError, match="param/embedding.npy: CRC"):
+        load_checkpoint(path)
+
+
+def test_only_an_archive_of_the_threshold_size_starts_a_thread(tmp_path, monkeypatch):
+    model, vocab, lexicon, names = build(seed=23)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    with zipfile.ZipFile(path) as zf:
+        stored = sum(info.file_size for info in zf.infolist())
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(checkpoint, "threading", SimpleNamespace(Thread=Thread))
+    monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", stored + 1)
+    load_checkpoint(path)
+    assert started == []
+    monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", stored)
+    load_checkpoint(path)
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_concurrent_threaded_loads_check_every_entry(tmp_path, monkeypatch):
+    # Four loads at once, each with its worker, switching threads as often
+    # as the interpreter allows: a lost check would let the bad archive load.
+    monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", 0)
+    model, vocab, lexicon, names = build(seed=24)
+    good = save_checkpoint(str(tmp_path / "good.npz"), model, vocab, lexicon, names)
+    bad = save_checkpoint(str(tmp_path / "bad.npz"), model, vocab, lexicon, names)
+    flip_last_data_byte(bad, "param/expert1.b2b")
+    outcomes = []
+
+    def loads():
+        for _ in range(25):
+            load_checkpoint(good)
+            try:
+                load_checkpoint(bad)
+            except UsageError as e:
+                outcomes.append("CRC-32 mismatch" in str(e))
+            else:
+                outcomes.append(False)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=loads) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert outcomes == [True] * 100
