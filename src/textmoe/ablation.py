@@ -89,10 +89,6 @@ def ratio_sweep(ratios: list[tuple[int, int]], bundle: DataBundle,
                 model_cfg: ModelConfig, train_cfg: TrainConfig,
                 ) -> list[tuple[tuple[int, int], MetricsReport]]:
     """Train one model per ratio under shared seeds; evaluate each."""
-    out = []
-    for ratio in ratios:
-        cfg = replace(train_cfg, ratio=ratio)
-        model = build_model(bundle, model_cfg, cfg.seed)
-        fit(model, bundle.sentiment, bundle.depression, cfg)
-        out.append((ratio, evaluate(model, bundle.eval_set, DEPRESSION, cfg.batch_size)))
-    return out
+    return [(ratio, run_ablation(AblationVariant.FULL, bundle, model_cfg,
+                                 replace(train_cfg, ratio=ratio)))
+            for ratio in ratios]

@@ -277,7 +277,7 @@ def _build(path: str, text: str, arrays: dict[str, np.ndarray]) -> Checkpoint:
             raise UsageError(f"{path}: label_names[{task!r}] holds {len(names)} "
                              f"names for {classes[task]} classes")
     vocab = Vocabulary(index, tuple(tokens))
-    emb = EmbeddingTable(Tensor(embedding, requires_grad=True), cfg.word_dim)
+    emb = EmbeddingTable(Tensor(embedding, requires_grad=True))
     # The archive holds every weight: draw none, and adopt its arrays uncopied.
     model = MoeClassifier(cfg, emb, None, dtype=embedding.dtype)
     model.load_state_arrays(arrays, copy=False)

@@ -13,6 +13,8 @@ import itertools
 import math
 import os
 import sys
+from collections.abc import Sequence
+from dataclasses import replace
 
 import numpy as np
 
@@ -88,9 +90,11 @@ def load_bundle(cfg: RunConfig) -> DataBundle:
     )
 
 
-def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, str, DataBundle]:
+def _prepare_run(args: argparse.Namespace, ratios: Sequence[tuple[int, int]] = (),
+                 ) -> tuple[RunConfig, str, DataBundle]:
     """The config with the flag overrides applied, the created output
-    directory and the data bundle: what every run command starts from."""
+    directory and the data bundle: what every run command starts from.
+    The config must also be valid with each of ``ratios`` as its ratio."""
     cfg = load_run_config(args.config, validate=False)
     for attr in ("seed", "max_epochs", "batch_size", "learning_rate"):
         value = getattr(args, attr)
@@ -99,6 +103,8 @@ def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, str, DataBundle]:
     if args.ratio is not None:
         cfg.train.ratio = parse_ratio(args.ratio)
     cfg.validate()
+    for ratio in ratios:
+        replace(cfg, train=replace(cfg.train, ratio=ratio)).validate()
     out_dir = resolve_output_dir(args.out, cfg)
     os.makedirs(out_dir, exist_ok=True)
     return cfg, out_dir, load_bundle(cfg)
@@ -188,7 +194,7 @@ def cmd_ratio_sweep(args: argparse.Namespace) -> int:
     ratios = [parse_ratio(r) for r in args.ratios.split(",") if r.strip()]
     if not ratios:
         raise ConfigError("no ratios given")
-    cfg, out_dir, bundle = _prepare_run(args)
+    cfg, out_dir, bundle = _prepare_run(args, ratios)
     results = ratio_sweep(ratios, bundle, cfg.model_config(len(bundle.vocab)),
                           cfg.train_config())
     rows = [(f"{rs}:{rd}", report) for (rs, rd), report in results]

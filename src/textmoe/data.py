@@ -90,14 +90,13 @@ class EmbeddingTable:
     """Word vectors as one trainable matrix; the PAD row stays zero."""
 
     matrix: Tensor
-    word_dim: int
 
     @classmethod
     def random(cls, vocab: Vocabulary, dim: int, rng: np.random.Generator,
                dtype=np.float32) -> "EmbeddingTable":
         m = rng.uniform(-0.05, 0.05, size=(len(vocab), dim)).astype(dtype)
         m[PAD_ID] = 0.0
-        return cls(Tensor(m, requires_grad=True), dim)
+        return cls(Tensor(m, requires_grad=True))
 
 
 # Kept vector lines parsed per np.loadtxt call: bounds the raw text held at once.
@@ -166,7 +165,7 @@ def load_glove(path: str, vocab: Vocabulary, dim: int, rng: np.random.Generator,
     absent = np.flatnonzero(~found)
     m[absent] = rng.uniform(-0.05, 0.05, size=(len(absent), dim)).astype(dtype)
     m[PAD_ID] = 0.0
-    return EmbeddingTable(Tensor(m, requires_grad=True), dim)
+    return EmbeddingTable(Tensor(m, requires_grad=True))
 
 
 def _load_glove_lines(path: str, vocab: Vocabulary, dim: int, rng: np.random.Generator,
@@ -201,7 +200,7 @@ def _load_glove_lines(path: str, vocab: Vocabulary, dim: int, rng: np.random.Gen
         else:
             m[idx] = rng.uniform(-0.05, 0.05, size=dim).astype(dtype)
     m[PAD_ID] = 0.0
-    return EmbeddingTable(Tensor(m, requires_grad=True), dim)
+    return EmbeddingTable(Tensor(m, requires_grad=True))
 
 
 class Example(NamedTuple):

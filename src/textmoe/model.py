@@ -36,10 +36,10 @@ import numpy as np
 
 from .data import MAX_SEQ_LEN, PAD_ID, TASK_IDS, EmbeddingTable
 from .errors import ConfigError, UsageError
-# add_const, mul, scale, slice_last and transpose_last are unused here, but
-# perfbench/spans.py wraps tensor ops by the names this module imports and
-# looks each of them up, so they stay.
+# mul and slice_last are unused here, but perfbench/spans.py wraps tensor ops
+# by the names this module imports and looks each of them up, so they stay.
 from .tensor import (  # noqa: F401
+    MASK_FILL,
     Tensor,
     add,
     add_const,
@@ -52,7 +52,6 @@ from .tensor import (  # noqa: F401
     mul,
     no_grad,
     packed_attention,
-    padded_attention,
     relu,
     reshape,
     scale,
@@ -200,8 +199,16 @@ def _score_scale(scale_mode: str, d1: int) -> float:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale_mode: str = "dim",
               key_mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q k^T / denom) v with masked positions forced to ~zero weight."""
-    return padded_attention(q, k, v, _score_scale(scale_mode, q.shape[-1]), key_mask)
+    """softmax(q k^T / denom) v for q (..., sq, d), k (..., sk, d), v (..., sk, dv),
+    from single graph ops. Keys where key_mask (..., sk) is False get ~zero weight."""
+    c = _score_scale(scale_mode, q.shape[-1])
+    if key_mask is not None and not key_mask.any(axis=-1).all():
+        raise UsageError("attention: every position is masked")
+    scores = scale(matmul(q, transpose_last(k)), c)
+    if key_mask is not None:
+        bias = np.where(key_mask, 0.0, MASK_FILL).astype(scores.dtype)
+        scores = add_const(scores, bias[..., None, :])
+    return matmul(softmax(scores), v)
 
 
 def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,

@@ -186,7 +186,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = _mm(a.data, b.data)
+    try:
+        out = _mm(a.data, b.data)
+    except ValueError as e:
+        raise ShapeError(f"matmul leading axes do not broadcast: {a.shape} @ {b.shape}") from e
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -301,7 +304,10 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def add_const(x: Tensor, c: np.ndarray) -> Tensor:
     """x + non-differentiated array; c must broadcast without enlarging x."""
-    out = x.data + c
+    try:
+        out = x.data + c
+    except ValueError as e:
+        raise ShapeError(f"add_const: {c.shape} does not fit {x.shape}") from e
     if out.shape != x.shape:
         raise ShapeError(f"add_const: {c.shape} does not fit {x.shape}")
 
@@ -387,7 +393,7 @@ def softmax(x: Tensor) -> Tensor:
     return _from_op(out, (x,), backward)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray | None,
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray,
             c: float) -> tuple[np.ndarray, np.ndarray]:
     """softmax(q kᵀ · c + bias) v over the last two axes, and that softmax P.
     It runs the ufuncs of the matmul, scale, add_const, softmax, matmul chain
@@ -395,8 +401,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, bias: np.ndarray | None
     the chain's."""
     p = q @ np.swapaxes(k, -1, -2)
     p *= c
-    if bias is not None:
-        p += bias
+    p += bias
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
@@ -415,33 +420,12 @@ def _attend_grads(q: np.ndarray, k: np.ndarray, v: np.ndarray, p: np.ndarray,
     return ds @ k, dk, dv
 
 
-def padded_attention(q: Tensor, k: Tensor, v: Tensor, c: float,
-                     key_mask: np.ndarray | None = None) -> Tensor:
-    """softmax(q kᵀ · c) v for q (..., sq, d), k (..., sk, d), v (..., sk, dv)
-    as one node. Keys where key_mask (..., sk) is False get ~zero weight."""
-    bias = None
-    if key_mask is not None:
-        if not key_mask.any(axis=-1).all():
-            raise UsageError("attention: every position is masked")
-        bias = np.where(key_mask, 0.0, MASK_FILL).astype(q.dtype)[..., None, :]
-    try:
-        out, p = _attend(q.data, k.data, v.data, bias, c)
-    except ValueError as e:
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not "
-                         "fit each other or the mask") from e
-
-    def backward(g: np.ndarray) -> None:
-        for x, gx in zip((q, k, v), _attend_grads(q.data, k.data, v.data, p, g, c)):
-            _accum(x, _unbroadcast(gx, x.shape))
-
-    return _from_op(out, (q, k, v), backward)
-
-
 def packed_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
                      mask: np.ndarray, heads: int, c: float) -> Tensor:
     """A self-attention layer as one node on (tokens, d_in) rows x at the (b, s)
-    mask's True positions in row-major order: ``padded_attention`` of head h (column
-    block h of x @ wq, x @ wk, x @ wv) over its sequence's rows, merged and times wo."""
+    mask's True positions in row-major order: softmax(q kᵀ · c) v of head h, with
+    q, k and v column block h of x @ wq, x @ wk and x @ wv and the sequence's
+    padded keys masked, merged and times wo."""
     tokens, d = np.count_nonzero(mask), wq.shape[-1]
     if not (x.ndim == wo.ndim == 2 and (x.shape[0], wo.shape[0]) == (tokens, d)
             and wq.shape == wk.shape == wv.shape == (x.shape[1], d)):

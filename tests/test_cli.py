@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from textmoe import cli
+from textmoe import ablation, cli
 from textmoe.checkpoint import load_checkpoint
 from textmoe.config import RunConfig, load_run_config
 from textmoe.cli import PREDICT_CHUNK_LINES, main
@@ -371,6 +371,23 @@ def test_ratio_flag_that_needs_sentiment_exits_2(workspace, tmp_path, capsys):
     assert code == 2
     assert "missing [data] sentiment_csv" in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.npz").exists()
+
+
+@pytest.mark.parametrize("case", ["both zero", "no sentiment data"])
+def test_ratio_sweep_checks_every_ratio_before_training(workspace, tmp_path, capsys,
+                                                        monkeypatch, case):
+    if case == "both zero":
+        ini, ratios, message = workspace["data"] / "config.ini", "0:1,1:1,0:0", "not both 0"
+    else:
+        _, ini = _project_copy(workspace, tmp_path, _NO_SENTIMENT,
+                               ("ratio = 1:1\n", "ratio = 0:1\n"))
+        ratios, message = "0:1,1:1", "missing [data] sentiment_csv"
+    fits = []
+    monkeypatch.setattr(ablation, "fit", lambda *args: fits.append(args))
+    code = main(["ratio-sweep", str(ini), "--ratios", ratios, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not fits
 
 
 # csv's default field size limit is 131,072 characters; a short row lacks its text.

@@ -12,6 +12,7 @@ from textmoe import (
     ConfigError,
     ModelConfig,
     MoeClassifier,
+    ShapeError,
     Tensor,
     UsageError,
     attention,
@@ -235,6 +236,17 @@ def test_attention_rejects_fully_masked():
         attention(x, x, x, "dim", np.array([[False, False]]))
     with pytest.raises(ConfigError):
         attention(x, x, x, "inverse")
+
+
+def test_attention_shape_errors():
+    x = Tensor(np.ones((2, 3, 4)))
+    for k, v, mask in [(Tensor(np.ones((2, 3, 5))), x, None),  # k's width
+                       (Tensor(np.ones((3, 3, 4))), x, None),  # k's batch axis
+                       (x, Tensor(np.ones((2, 4, 4))), None),  # v's length
+                       (x, x, np.ones((5, 3), dtype=bool)),  # a mask that does not fit
+                       (x, x, np.ones((2, 2, 3), dtype=bool))]:  # one that would enlarge
+        with pytest.raises(ShapeError):
+            attention(x, k, v, "dim", mask)
 
 
 # ------------------------------------------------------------- expert units
@@ -497,7 +509,7 @@ def test_state_adopted_without_draw_or_copy():
     model = tiny_model(seed=26)
     batch = example_batch(np.random.default_rng(27), 3)
     state = model.state_arrays()
-    emb = EmbeddingTable(Tensor(state["embedding"], requires_grad=True), model.cfg.word_dim)
+    emb = EmbeddingTable(Tensor(state["embedding"], requires_grad=True))
     blank = MoeClassifier(model.cfg, emb, None)
     blank.load_state_arrays(state, copy=False)
     for name, t in blank.named_parameters():

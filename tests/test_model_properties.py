@@ -23,12 +23,8 @@ from textmoe import (  # noqa: E402
 )
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary  # noqa: E402
 from textmoe.model import SCALE_MODES, _score_scale  # noqa: E402
-from textmoe.tensor import packed_attention, padded_attention  # noqa: E402
-from conftest import (  # noqa: E402
-    attention_runs,
-    composed_attention,
-    composed_packed_attention,
-)
+from textmoe.tensor import packed_attention  # noqa: E402
+from conftest import attention_runs, composed_packed_attention  # noqa: E402
 
 FEW = settings(max_examples=25, deadline=None, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -76,11 +72,6 @@ def test_fused_attention_matches_the_composed_chain(b, s, heads, head_dim, d_in,
                 np.testing.assert_array_equal(got, want)
             else:
                 assert np.abs(got - want).max() <= 1e-12
-    # The padded op, as model.attention runs it, under the same key mask.
-    fused, composed = attention_runs((padded_attention, composed_attention),
-                                     [(b, s, head_dim)] * 3, (c, mask), np.float32, seed)
-    for got, want in zip(fused, composed):
-        np.testing.assert_array_equal(got, want)
 
 
 @FEW

@@ -23,7 +23,6 @@ from textmoe.tensor import (
     mul,
     no_grad,
     packed_attention,
-    padded_attention,
     relu,
     reshape,
     scale,
@@ -36,7 +35,6 @@ from textmoe.tensor import (
 )
 from conftest import (
     attention_runs,
-    composed_attention,
     composed_packed_attention,
     max_rel_err,
     rand_tensor,
@@ -125,6 +123,8 @@ def test_matmul_shape_errors():
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+    with pytest.raises(ShapeError, match="leading axes"):
+        matmul(Tensor(np.ones((2, 4, 3))), Tensor(np.ones((5, 3, 2))))
 
 
 def test_matmul_broadcast_gradients(gradcheck):
@@ -330,30 +330,24 @@ def test_layout_op_shape_errors():
 # ---------------------------------------------------------------- attention
 
 
-def attention_pair(op, dtype):
-    """Output and input gradients of the fused op and of its composed chain:
-    dx, dWq, dWk, dWv and dWo for the packed layer, dQ, dK and dV for the
-    padded op."""
-    if op == "packed":  # the 7 real rows of _ROWS, d_in 5, 3 heads of width 2, d_out 4
-        return attention_runs((packed_attention, composed_packed_attention),
-                              [(7, 5), (5, 6), (5, 6), (5, 6), (6, 4)], (_ROWS, 3, 0.5),
-                              dtype, seed=43)
-    mask = np.array([[True, True, False, True, False], [True] * 5])
-    return attention_runs((padded_attention, composed_attention),
-                          [(2, 3, 4), (2, 5, 4), (2, 5, 3)], (0.25, mask), dtype, seed=43)
+def attention_pair(dtype):
+    """Output and input gradients of the fused layer and of its composed chain:
+    dx, dWq, dWk, dWv and dWo on the 7 real rows of _ROWS, d_in 5, 3 heads of
+    width 2, d_out 4."""
+    return attention_runs((packed_attention, composed_packed_attention),
+                          [(7, 5), (5, 6), (5, 6), (5, 6), (6, 4)], (_ROWS, 3, 0.5),
+                          dtype, seed=43)
 
 
-@pytest.mark.parametrize("op", ["packed", "padded"])
-def test_fused_attention_is_bitwise_the_composed_chain_in_float32(op):
+def test_fused_attention_is_bitwise_the_composed_chain_in_float32():
     # The kernel runs the chain's ufuncs in its order and on its layouts.
-    for got, want in zip(*attention_pair(op, np.float32)):
+    for got, want in zip(*attention_pair(np.float32)):
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("op", ["packed", "padded"])
-def test_fused_attention_matches_the_composed_chain_in_float64(op):
-    for got, want in zip(*attention_pair(op, np.float64)):
+def test_fused_attention_matches_the_composed_chain_in_float64():
+    for got, want in zip(*attention_pair(np.float64)):
         assert np.abs(got - want).max() <= 1e-12
 
 
@@ -366,14 +360,6 @@ def test_grad_packed_attention(gradcheck):
               [x, wq, wk, wv, wo])
 
 
-def test_grad_padded_attention(gradcheck):
-    rng = np.random.default_rng(45)
-    q, k, v = (rand_tensor(rng, shape) for shape in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
-    mask = np.array([[True, False, True, True, False], [True] * 5])
-    w = Tensor(rng.normal(size=(2, 3, 3)), dtype=np.float64)
-    gradcheck(lambda: sum_all(mul(padded_attention(q, k, v, 0.5, mask), w)), [q, k, v])
-
-
 def test_attention_shape_errors():
     w, wo = Tensor(np.ones((5, 6))), Tensor(np.ones((6, 4)))
     with pytest.raises(ShapeError, match="packed_attention"):  # 6 rows for 7 positions
@@ -384,11 +370,6 @@ def test_attention_shape_errors():
     for wk, out_proj in bad:
         with pytest.raises(ShapeError, match="packed_attention"):
             packed_attention(x, w, wk, w, out_proj, _ROWS, 3, 1.0)
-    x = Tensor(np.ones((2, 3, 4)))
-    with pytest.raises(ShapeError, match="attention"):
-        padded_attention(x, Tensor(np.ones((2, 3, 5))), x, 1.0)
-    with pytest.raises(ShapeError, match="attention"):
-        padded_attention(x, x, x, 1.0, np.ones((5, 3), dtype=bool))
 
 
 def test_grad_softmax(gradcheck):
@@ -631,9 +612,10 @@ def test_add_mul_shape_errors():
 
 
 def test_add_const_cannot_enlarge():
-    x = Tensor(np.ones((2, 1)))
     with pytest.raises(ShapeError):
-        add_const(x, np.ones((2, 5)))
+        add_const(Tensor(np.ones((2, 1))), np.ones((2, 5)))
+    with pytest.raises(ShapeError, match="add_const"):  # does not broadcast at all
+        add_const(Tensor(np.ones((2, 3))), np.ones((5, 3)))
 
 
 def test_concat_last_empty():
