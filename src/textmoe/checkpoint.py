@@ -21,14 +21,14 @@ mapping: an aligned entry stays a view of it, and any other entry
 out of it. Each entry's CRC-32 is checked over its stored bytes, .npy
 header and data. A compressed archive is not a checkpoint.
 
-An archive of at least 8 MiB of stored bytes is checked on two threads:
-a worker checks the largest entries while the loading thread parses the
-meta and builds the model, then the loading thread checks the rest and
-joins the worker. ``load_checkpoint`` returns only after every check has
-passed, so it never hands out unverified weights, and a checksum failure
-is reported in place of any meta or config error. With a single CPU
-the second thread gains nothing. A smaller archive is checked on the
-loading thread alone, where starting a thread would cost more than it
+Every archive is checked the same way: the loading thread parses the
+meta and builds the model, then checks the entries. ``load_checkpoint``
+returns only after every check has passed, so it never hands out
+unverified weights, and a checksum failure is reported in place of any
+meta or config error. Only an archive of at least 8 MiB of stored bytes
+starts a worker thread, which checks the largest entries while the model
+is built, leaving the rest to the loading thread; with a single CPU it
+gains nothing. For a smaller archive a thread would cost more than it
 saves.
 
 A loaded parameter is private: writing to it never reaches the file. The
@@ -147,14 +147,15 @@ def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[int, int, np.dtype, tuple,
 
 def _start_checks(path: str, checks: list[tuple[str, np.ndarray, int]]) -> Callable[[], None]:
     """Start checking each ``(file name, stored bytes, CRC-32)`` of
-    ``checks`` on a worker thread, and return the function that finishes:
-    it checks what is left on the calling thread, joins the worker, and
-    raises UsageError for the first entry, in ``checks`` order, whose
-    CRC-32 does not match.
+    ``checks``, and return the function that finishes: it checks what is
+    left on the calling thread, joins any worker, and raises UsageError for
+    the first entry, in ``checks`` order, whose CRC-32 does not match.
 
-    The worker takes the largest entries first while the caller goes on;
-    the caller takes the smallest ones when it finishes. zlib.crc32
-    releases the GIL over large buffers, so the two run at once.
+    With at least _THREAD_MIN_BYTES stored bytes a worker thread takes the
+    largest entries first while the caller goes on; the caller takes the
+    smallest ones when it finishes. zlib.crc32 releases the GIL over large
+    buffers, so the two run at once. Below that no thread is started, where
+    one would cost more than it saves, and the caller checks every entry.
     """
     by_size = deque(sorted(range(len(checks)), key=lambda i: -checks[i][1].size))
     good = [False] * len(checks)  # False until checked: a lost check fails the load
@@ -168,14 +169,18 @@ def _start_checks(path: str, checks: list[tuple[str, np.ndarray, int]]) -> Calla
             _, stored, crc = checks[i]
             good[i] = zlib.crc32(stored) == crc
 
-    worker = threading.Thread(target=check, args=(by_size.popleft,), name="checkpoint-crc32")
-    worker.start()
+    worker = None
+    if sum(stored.size for _, stored, _ in checks) >= _THREAD_MIN_BYTES:
+        worker = threading.Thread(target=check, args=(by_size.popleft,),
+                                  name="checkpoint-crc32")
+        worker.start()
 
     def finish() -> None:
         try:
             check(by_size.pop)
         finally:
-            worker.join()
+            if worker is not None:
+                worker.join()
         for (name, _, _), ok in zip(checks, good):
             if not ok:
                 raise UsageError(f"{path}: not a checkpoint: {name}: CRC-32 mismatch")
@@ -185,56 +190,46 @@ def _start_checks(path: str, checks: list[tuple[str, np.ndarray, int]]) -> Calla
 
 def _read_archive(path: str) -> tuple[np.ndarray, dict[str, np.ndarray], Callable[[], None]]:
     """The meta entry and parameter arrays of the archive at ``path``, and
-    the function that finishes checking them.
+    the function that checks them.
 
-    Every entry comes from one copy-on-write mapping of the file, and is
-    checked against its CRC-32 over its stored bytes (.npy header and
-    data). An entry whose array data starts at a 64-byte file offset stays
-    a view of the mapping; any other is copied out of it.
+    Every entry comes from one copy-on-write mapping of the file. An entry
+    whose array data starts at a 64-byte file offset stays a view of the
+    mapping; any other is copied out of it. Each entry's CRC-32 over its
+    stored bytes (.npy header and data) is checked by _start_checks, which
+    starts a worker thread only for an archive of at least
+    _THREAD_MIN_BYTES stored bytes. The arrays are unverified until the
+    returned function has returned.
 
-    An archive of at least _THREAD_MIN_BYTES stored bytes starts its checks
-    on a second thread (_start_checks) and returns with them still running:
-    its arrays are unverified until the returned function has returned. A
-    smaller one is checked here, entry by entry, where a thread would cost
-    more than it saves; its returned function does nothing.
-
-    A file that is not an .npz archive of plain stored arrays, or whose
-    entry fails its checksum, raises UsageError, here or from the returned
-    function; a missing or unreadable file keeps its OSError.
+    A file that is not an .npz archive of plain stored arrays raises
+    UsageError here, and an entry that fails its checksum raises it from
+    the returned function; a missing or unreadable file keeps its OSError.
     """
     try:
         with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
             entries = {info.filename.removesuffix(".npy"): info for info in zf.infolist()}
             if "meta" not in entries:
                 raise UsageError(f"{path}: not a checkpoint: no meta entry")
-            layouts = {name: _entry_layout(fh, info) for name, info in entries.items()}
             mapped = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY), np.uint8)
-            threaded = sum(info.file_size for info in entries.values()) >= _THREAD_MIN_BYTES
             found, checks = {}, []
             for name, info in entries.items():
-                start, at, dtype, shape, order = layouts[name]
+                start, at, dtype, shape, order = _entry_layout(fh, info)
                 end = start + info.file_size
                 if end > mapped.size:
                     raise EOFError(f"{info.filename}: truncated")
-                if threaded:
-                    checks.append((info.filename, mapped[start:end], info.CRC))
-                elif zlib.crc32(mapped[start:end]) != info.CRC:
-                    raise zipfile.BadZipFile(f"{info.filename}: CRC-32 mismatch")
+                checks.append((info.filename, mapped[start:end], info.CRC))
                 data = mapped[at:end] if at % _ALIGN == 0 else mapped[at:end].copy()
                 found[name] = data.view(dtype).reshape(shape, order=order)
     # ValueError: object data or a malformed entry; EOFError: a short file.
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise UsageError(f"{path}: not a checkpoint: {e}") from None
     params = {k[len(_PARAM):]: v for k, v in found.items() if k.startswith(_PARAM)}
-    return found["meta"], params, _start_checks(path, checks) if threaded else lambda: None
+    return found["meta"], params, _start_checks(path, checks)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """The checkpoint at ``path``, every entry checked against its CRC-32.
-
-    A large archive's model is built while its checks run; a checksum
-    failure raises UsageError in place of any meta or config error the
-    build met.
+    """The checkpoint at ``path``, every entry checked against its CRC-32
+    once the model is built; a checksum failure raises UsageError in place
+    of any meta or config error the build met.
     """
     meta, arrays, finish_checks = _read_archive(path)
     try:

@@ -94,7 +94,8 @@ def _prepare_run(args: argparse.Namespace, ratios: Sequence[tuple[int, int]] = (
                  ) -> tuple[RunConfig, str, DataBundle]:
     """The config with the flag overrides applied, the created output
     directory and the data bundle: what every run command starts from.
-    The config must also be valid with each of ``ratios`` as its ratio."""
+    Given ``ratios``, the config must be valid with each of them as its
+    ratio, and its own ratio, which is then never trained at, is not checked."""
     cfg = load_run_config(args.config, validate=False)
     for attr in ("seed", "max_epochs", "batch_size", "learning_rate"):
         value = getattr(args, attr)
@@ -102,8 +103,7 @@ def _prepare_run(args: argparse.Namespace, ratios: Sequence[tuple[int, int]] = (
             setattr(cfg.train, attr, value)
     if args.ratio is not None:
         cfg.train.ratio = parse_ratio(args.ratio)
-    cfg.validate()
-    for ratio in ratios:
+    for ratio in ratios or [cfg.train.ratio]:
         replace(cfg, train=replace(cfg.train, ratio=ratio)).validate()
     out_dir = resolve_output_dir(args.out, cfg)
     os.makedirs(out_dir, exist_ok=True)

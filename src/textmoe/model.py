@@ -16,15 +16,17 @@ and each block is drawn as its own Xavier-uniform (model_dim, head_dim)
 matrix. All heads are projected, attend and are merged through ``wo`` in
 one ``packed_attention`` node.
 
-A batch is padded to its longest sequence, with a (batch, seq_len) mask
-that is True at real positions; a single sequence is a batch of one. The
-token-wise layers run on packed rows, only the real positions of the
-mask in row-major order, as one (tokens, dim) matrix: the embedding
-lookup, the attention layer, whose per-head padded layout is no graph
-value, and its dropout, and the ``w1``/``b1``/relu/dropout feed-forward
-layer. Pooling and the gate see the padded (batch, seq_len, ·) layout,
-with zeros at padded positions. Each dropout draws one mask value per
-real unit it is given, so padded positions consume no random numbers.
+A batch's token ids and marker bits are never padded: they are packed,
+every example's tokens in batch order, and only a (batch, seq_len) mask,
+True at real positions, records how the batch pads to its longest
+sequence; a single sequence is a batch of one. The token-wise layers run
+on packed rows, the real positions of the mask in row-major order, as one
+(tokens, dim) matrix: the embedding lookup, the attention layer, whose
+per-head padded layout is no graph value, and its dropout, and the
+``w1``/``b1``/relu/dropout feed-forward layer. Pooling and the gate see
+the padded (batch, seq_len, ·) layout, with zeros at padded positions.
+Each dropout draws one mask value per real unit it is given, so padded
+positions consume no random numbers.
 """
 
 from __future__ import annotations
@@ -277,7 +279,9 @@ class MoeClassifier:
         return TASK_IDS.index(task_id)
 
     def pad_batch(self, batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """list of (token_ids, marker_bits, ...) -> ids, bits, mask arrays."""
+        """list of (token_ids, marker_bits, ...) -> the 1-d int64 ids and
+        bits of every token in batch order, and the (batch, longest) mask
+        that is True at real positions."""
         if not batch:
             raise UsageError("forward needs a non-empty batch")
         for ex in batch:
@@ -288,16 +292,10 @@ class MoeClassifier:
             if len(ex[0]) > self.cfg.max_seq_len:
                 raise UsageError(f"sequence of {len(ex[0])} tokens exceeds "
                                  f"max_seq_len {self.cfg.max_seq_len}")
-        width = max(len(ex[0]) for ex in batch)
-        ids = np.full((len(batch), width), PAD_ID, dtype=np.int64)
-        bits = np.zeros((len(batch), width), dtype=np.int64)
-        mask = np.zeros((len(batch), width), dtype=bool)
-        for r, ex in enumerate(batch):
-            n = len(ex[0])
-            ids[r, :n] = ex[0]
-            bits[r, :n] = ex[1]
-            mask[r, :n] = True
-        return ids, bits, mask
+        lengths = np.array([len(ex[0]) for ex in batch])
+        ids = np.array([t for ex in batch for t in ex[0]], dtype=np.int64)
+        bits = np.array([t for ex in batch for t in ex[1]], dtype=np.int64)
+        return ids, bits, np.arange(lengths.max()) < lengths[:, None]
 
     def forward(self, batch, task_id: str, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -305,8 +303,7 @@ class MoeClassifier:
         k = self.task_index(task_id)
         cfg = self.cfg
         ids, bits, mask = self.pad_batch(batch)
-        x = embed_with_markers(ids[mask], bits[mask], self.embedding.matrix,
-                               self.markers)             # (tokens, d)
+        x = embed_with_markers(ids, bits, self.embedding.matrix, self.markers)  # (tokens, d)
         outs = [expert_forward(unit, x, mask, training, cfg.dropout, rng,
                                cfg.attention_scale)
                 for unit in self.experts]

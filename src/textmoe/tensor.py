@@ -78,6 +78,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise UsageError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     # Unused by the package (a missing gradient counts as zero), but

@@ -390,6 +390,23 @@ def test_ratio_sweep_checks_every_ratio_before_training(workspace, tmp_path, cap
     assert not fits
 
 
+def test_ratio_sweep_checks_only_the_swept_ratios(workspace, tmp_path, capsys, monkeypatch):
+    # The config's own ratio (1:1, no sentiment_csv) is invalid, but the sweep
+    # never trains at it: 0:1 needs no sentiment data, 1:1 still does.
+    _, ini = _project_copy(workspace, tmp_path, _NO_SENTIMENT)
+    out = tmp_path / "run"
+    code = main(["ratio-sweep", str(ini), "--ratios", "0:1", "--max-epochs", "1",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert "0:1" in (out / "ratio_sweep.txt").read_text(encoding="utf-8")
+    fits = []
+    monkeypatch.setattr(ablation, "fit", lambda *args: fits.append(args))
+    code = main(["ratio-sweep", str(ini), "--ratios", "1:1", "--out", str(tmp_path / "run2")])
+    assert code == 2
+    assert "missing [data] sentiment_csv" in capsys.readouterr().err
+    assert not fits
+
+
 # csv's default field size limit is 131,072 characters; a short row lacks its text.
 _BAD_CSV = {
     "oversized": ("label,text\n0,w1\n1," + "w1 " * 44_000 + "\n",

@@ -22,7 +22,15 @@ from textmoe import (
     synth_generate,
 )
 from textmoe import tensor
-from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Example, TaskDataset, Vocabulary
+from textmoe.data import (
+    DEPRESSION,
+    PAD_ID,
+    SENTIMENT,
+    EmbeddingTable,
+    Example,
+    TaskDataset,
+    Vocabulary,
+)
 from textmoe.metrics import evaluate
 from textmoe.model import SCALE_MODES, ExpertUnit, _Init, _score_scale
 from textmoe.tensor import (
@@ -131,6 +139,25 @@ def test_forward_rejects_marker_bit_outside_0_1():
     for bad in (-1, 2):
         with pytest.raises(UsageError, match="marker bits"):
             model.forward([([2, 3], [0, bad])], SENTIMENT)
+
+
+def to_padded_ids(ids, bits, mask):
+    """pad_batch's packed ids and bits scattered into the (b, s) layout of
+    its mask, with PAD_ID and bit 0 at padded positions."""
+    padded_ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    padded_bits = np.zeros(mask.shape, dtype=np.int64)
+    padded_ids[mask], padded_bits[mask] = ids, bits
+    return padded_ids, padded_bits
+
+
+def test_pad_batch_packs_ids_and_bits_in_batch_order():
+    model = tiny_model()
+    batch = [([2, 3], [1, 0]), ([4, 5, 6, 7], [0, 0, 1, 1]), ([8], [1]), ([9, 10, 11], [0, 1, 0])]
+    ids, bits, mask = model.pad_batch(batch)
+    assert ids.dtype == bits.dtype == np.int64 and mask.dtype == bool
+    np.testing.assert_array_equal(ids, [2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    np.testing.assert_array_equal(bits, [1, 0, 0, 0, 1, 1, 1, 0, 1, 0])
+    np.testing.assert_array_equal(mask, [[1, 1, 0, 0], [1, 1, 1, 1], [1, 0, 0, 0], [1, 1, 1, 0]])
 
 
 def test_pad_batch_rejects_sequence_longer_than_max_seq_len():
@@ -362,9 +389,9 @@ def test_forward_mixes_experts_by_gate_weights(use_gate):
     model = MoeClassifier(cfg, emb, rng, dtype=np.float64)
     batch = example_batch(np.random.default_rng(35), 4)
     ids, bits, mask = model.pad_batch(batch)
-    x = embed_with_markers(ids, bits, model.embedding.matrix, model.markers)
-    packed = embed_with_markers(ids[mask], bits[mask], model.embedding.matrix,
-                                model.markers)
+    x = embed_with_markers(*to_padded_ids(ids, bits, mask), model.embedding.matrix,
+                           model.markers)
+    packed = embed_with_markers(ids, bits, model.embedding.matrix, model.markers)
     outs = [expert_forward(u, packed, mask).data for u in model.experts]
     if use_gate:
         gw = gate_weights(model.gates[1], x, mask).data
@@ -700,7 +727,8 @@ def _padded_forward(model, batch, task_id, training=False, rng=None):
     the real tokens only."""
     cfg = model.cfg
     ids, bits, mask = model.pad_batch(batch)
-    x = embed_with_markers(ids, bits, model.embedding.matrix, model.markers)
+    x = embed_with_markers(*to_padded_ids(ids, bits, mask), model.embedding.matrix,
+                           model.markers)
     b, s, d = x.shape
     e, f = cfg.num_experts, cfg.ff2_out
     outs = []

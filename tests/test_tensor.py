@@ -59,7 +59,11 @@ def test_tensor_keeps_explicit_float64():
 def test_item_and_repr():
     t = Tensor([2.5], requires_grad=True)
     assert t.item() == 2.5
+    assert Tensor(np.float32(-1.5)).item() == -1.5
     assert "requires_grad=True" in repr(t)
+    for shape in ((3,), (1, 2), (0,)):
+        with pytest.raises(UsageError, match="single element"):
+            Tensor(np.arange(float(np.prod(shape))).reshape(shape) + 7).item()
 
 
 def test_backward_rejects_non_scalar():
