@@ -65,6 +65,9 @@ _ALIGN = 64
 _PAD_ID = 0xD935  # zipalign's extra-field ID for alignment padding
 # Archives with this many stored bytes check their CRC-32s on two threads.
 _THREAD_MIN_BYTES = 8 << 20
+# numpy parses .npy headers with ast.literal_eval, which CPython 3.11 fails
+# with SystemError when threads parse at once; loads take turns here.
+_HEADER_LOCK = threading.Lock()
 
 
 @dataclass
@@ -132,12 +135,18 @@ def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[int, int, np.dtype, tuple,
     name_len, extra_len = struct.unpack("<HH", local[26:])
     start = info.header_offset + 30 + name_len + extra_len
     fh.seek(start)
-    version = np.lib.format.read_magic(fh)
-    if version not in ((1, 0), (2, 0)):
-        raise ValueError(f"{info.filename}: unsupported .npy version {version}")
-    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                   else np.lib.format.read_array_header_2_0)
-    shape, fortran, dtype = read_header(fh)
+    try:
+        version = np.lib.format.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"unsupported .npy version {version}")
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        with _HEADER_LOCK:
+            shape, fortran, dtype = read_header(fh)
+    except OSError:
+        raise
+    except Exception as e:  # numpy's header parser raises many types, tokenize's too
+        raise ValueError(f"{info.filename}: unreadable .npy header: {e}") from None
     if dtype.hasobject:
         raise ValueError(f"{info.filename}: object arrays are not allowed")
     if fh.tell() - start + math.prod(shape) * dtype.itemsize != info.file_size:
@@ -219,8 +228,8 @@ def _read_archive(path: str) -> tuple[np.ndarray, dict[str, np.ndarray], Callabl
                 checks.append((info.filename, mapped[start:end], info.CRC))
                 data = mapped[at:end] if at % _ALIGN == 0 else mapped[at:end].copy()
                 found[name] = data.view(dtype).reshape(shape, order=order)
-    # ValueError: object data or a malformed entry; EOFError: a short file.
-    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+    # ValueError: a malformed entry; EOFError: a short file; NotImplementedError: a zip version.
+    except (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile) as e:
         raise UsageError(f"{path}: not a checkpoint: {e}") from None
     params = {k[len(_PARAM):]: v for k, v in found.items() if k.startswith(_PARAM)}
     return found["meta"], params, _start_checks(path, checks)

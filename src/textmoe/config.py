@@ -168,7 +168,7 @@ def _holder(cfg: RunConfig, section: str):
 
 
 def load_run_config(path: str, validate: bool = True) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as e:
@@ -201,7 +201,7 @@ def load_run_config(path: str, validate: bool = True) -> RunConfig:
 
 
 def write_run_config(cfg: RunConfig, path: str) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SECTIONS.items():
         holder = _holder(cfg, section)
         parser[section] = {key: _FORMATS.get(attr, str)(getattr(holder, attr))

@@ -19,12 +19,10 @@ one ``packed_attention`` node.
 A batch's token ids and marker bits are never padded: they are packed,
 every example's tokens in batch order, and only a (batch, seq_len) mask,
 True at real positions, records how the batch pads to its longest
-sequence; a single sequence is a batch of one. The token-wise layers run
-on packed rows, the real positions of the mask in row-major order, as one
-(tokens, dim) matrix: the embedding lookup, the attention layer, whose
-per-head padded layout is no graph value, and its dropout, and the
-``w1``/``b1``/relu/dropout feed-forward layer. Pooling and the gate see
-the padded (batch, seq_len, ·) layout, with zeros at padded positions.
+sequence; a single sequence is a batch of one. Every layer runs on packed
+rows, the mask's real positions in row-major order, as one (tokens, dim)
+matrix up to pooling and the gate's mean, which read each example's rows
+through the mask; only the attention and pooling kernels pad, privately.
 Each dropout draws one mask value per real unit it is given, so padded
 positions consume no random numbers.
 """
@@ -59,7 +57,6 @@ from .tensor import (  # noqa: F401
     scale,
     slice_last,
     softmax,
-    to_padded,
     transpose_last,
 )
 
@@ -218,12 +215,11 @@ def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
                    rng: np.random.Generator | None = None,
                    scale_mode: str = "dim") -> Tensor:
     """Packed rows x (tokens, model_dim) at the True positions of the
-    (b, s) mask -> (b, ff2_out)."""
+    (b, s) mask -> (b, ff2_out), pooling the (tokens, ff1) feed-forward rows."""
     c = _score_scale(scale_mode, x.shape[-1] // unit.num_heads)
     h = packed_attention(x, unit.wq, unit.wk, unit.wv, unit.wo, mask, unit.num_heads, c)
     h = dropout(h, dropout_rate, training, rng)
-    h = relu(add(matmul(h, unit.w1), unit.b1))         # (tokens, ff1)
-    h = to_padded(dropout(h, dropout_rate, training, rng), mask)  # (b, s, ff1)
+    h = dropout(relu(add(matmul(h, unit.w1), unit.b1)), dropout_rate, training, rng)
     pooled = concat_last([masked_max(h, mask), masked_mean(h, mask)])
     z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
     z = add(matmul(z, unit.w2b), unit.b2b)             # (b, ff2_out)
@@ -231,7 +227,8 @@ def expert_forward(unit: ExpertUnit, x: Tensor, mask: np.ndarray,
 
 
 def gate_weights(w_gn: Tensor, x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean of unmasked rows of x (b, s, d) through w_gn, softmaxed: (b, experts)."""
+    """Each example's mean row of x, laid out as ``masked_mean`` takes it,
+    through w_gn, softmaxed: (b, experts)."""
     return softmax(matmul(masked_mean(x, mask), w_gn))
 
 
@@ -309,8 +306,7 @@ class MoeClassifier:
                 for unit in self.experts]
         n, e, f = len(batch), cfg.num_experts, cfg.ff2_out
         if cfg.use_gate:
-            gw = reshape(gate_weights(self.gates[k], to_padded(x, mask), mask),
-                         (n, 1, e))
+            gw = reshape(gate_weights(self.gates[k], x, mask), (n, 1, e))
         else:
             gw = Tensor(np.full((n, 1, e), 1.0 / e, dtype=x.dtype))
         mixed = reshape(matmul(gw, reshape(concat_last(outs), (n, e, f))), (n, f))

@@ -18,6 +18,7 @@ never enters a Tensor.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 
@@ -224,33 +225,14 @@ def transpose_last(x: Tensor) -> Tensor:
     return swap_axes(x, -1, -2)
 
 
-def _scatter_rows(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Rows x (tokens, ...) -> (b, s, ...) with zeros where the (b, s) mask
-    is False. Integer row indices scatter faster than the boolean mask
-    does when rows are short."""
-    out = np.zeros((mask.size, *x.shape[1:]), dtype=x.dtype)
+def _scatter_rows(x: np.ndarray, mask: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """Rows x (tokens, ...) -> (*mask.shape, ...), row i at the i-th True
+    position of mask in row-major order, ``fill`` elsewhere. Integer row
+    indices scatter faster than the boolean mask does when rows are short."""
+    shape = (mask.size, *x.shape[1:])
+    out = np.full(shape, fill, dtype=x.dtype) if fill else np.zeros(shape, dtype=x.dtype)
     out[np.flatnonzero(mask)] = x
     return out.reshape(*mask.shape, *x.shape[1:])
-
-
-def to_padded(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Packed rows x (tokens, d) -> (b, s, d) with zeros where the (b, s)
-    mask is False.
-
-    Row i of x goes to the i-th True position of mask in row-major order.
-    """
-    tokens = np.count_nonzero(mask)
-    if x.ndim != 2 or x.shape[0] != tokens:
-        raise ShapeError(f"to_padded: {x.shape} rows for {tokens} real positions")
-    b, s = mask.shape
-    d = x.shape[1]
-    out = _scatter_rows(x.data, mask)
-
-    def backward(g: np.ndarray) -> None:
-        # take gathers short rows faster than a boolean mask
-        _accum(x, g.reshape(b * s, d).take(np.flatnonzero(mask), axis=0))
-
-    return _from_op(out, (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -501,32 +483,44 @@ def l2_penalty(params: Sequence[Tensor], lam: float) -> Tensor:
     return _from_op(out, tuple(params), backward)
 
 
-def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over axis -2 restricted to mask==True. x (..., s, d), mask (..., s)."""
+def _padded(x: Tensor, mask: np.ndarray, op: str, fill: float = 0.0) -> np.ndarray:
+    """x's rows, one per True position of the (..., s) mask, scattered to (..., s, d)."""
     if not mask.any(axis=-1).all():
-        raise UsageError("masked_mean: a row has no unmasked positions")
-    w = mask.astype(x.dtype)
-    counts = w.sum(axis=-1)[..., None]  # (..., 1)
-    out = (x.data * w[..., None]).sum(axis=-2) / counts
+        raise UsageError(f"{op}: a row has no unmasked positions")
+    tokens = np.count_nonzero(mask)
+    if x.ndim < 2 or math.prod(x.shape[:-1]) != tokens:
+        raise ShapeError(f"{op}: {x.shape} rows for {tokens} real positions")
+    return _scatter_rows(x.data.reshape(tokens, x.shape[-1]), mask, fill)
+
+
+def masked_mean(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Mean over each (..., s) mask row's real positions -> (..., d), summed
+    in the padded (..., s, d) layout. x holds one row per True position of
+    mask in row-major order: (tokens, d), or leading axes that flatten to it."""
+    counts = mask.sum(axis=-1).astype(x.dtype)[..., None]  # (..., 1)
+    out = _padded(x, mask, "masked_mean").sum(axis=-2) / counts
 
     def backward(g: np.ndarray) -> None:
-        _accum(x, g[..., None, :] * (w / counts)[..., None])
+        # Each row gets its own sequence's g / count.
+        per_seq = (g * (1 / counts)).reshape(-1, x.shape[-1])
+        _accum(x, per_seq[np.flatnonzero(mask) // mask.shape[-1]].reshape(x.shape))
 
     return _from_op(out, (x,), backward)
 
 
 def masked_max(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Column-wise max over axis -2 restricted to mask==True."""
-    if not mask.any(axis=-1).all():
-        raise UsageError("masked_max: a row has no unmasked positions")
-    neg = np.where(mask[..., None], x.data, -np.inf)
-    idx = neg.argmax(axis=-2)  # (..., d); ties -> lowest index
-    out = np.take_along_axis(x.data, idx[..., None, :], axis=-2).squeeze(-2)
+    """Column-wise max over each (..., s) mask row's real positions ->
+    (..., d), for x laid out as in ``masked_mean``."""
+    padded = _padded(x, mask, "masked_max", -np.inf)
+    idx = padded.argmax(axis=-2)  # (..., d); ties -> lowest index
+    out = np.take_along_axis(padded, idx[..., None, :], axis=-2).squeeze(-2)
 
     def backward(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx[..., None, :], g[..., None, :], axis=-2)
-        _accum(x, gx)
+        # Position p of a sequence is packed row (True positions before p).
+        rank = np.cumsum(mask).reshape(mask.shape) - 1
+        gx = np.zeros_like(x.data).reshape(-1, x.shape[-1])
+        gx[np.take_along_axis(rank, idx, axis=-1), np.arange(x.shape[-1])] = g
+        _accum(x, gx.reshape(x.shape))
 
     return _from_op(out, (x,), backward)
 

@@ -8,6 +8,8 @@ import pytest
 from textmoe import Tensor
 from textmoe.tensor import (
     MASK_FILL,
+    _accum,
+    _from_op,
     add_const,
     embedding_lookup,
     matmul,
@@ -17,7 +19,6 @@ from textmoe.tensor import (
     softmax,
     sum_all,
     swap_axes,
-    to_padded,
     transpose_last,
 )
 
@@ -98,6 +99,26 @@ def composed_attention(q, k, v, c, key_mask=None):
     return matmul(softmax(scores), v)
 
 
+def scatter_rows(x, mask):
+    """Packed rows x (tokens, d) -> (b, s, d) as a graph op: row i at the
+    i-th True position of the (b, s) mask in row-major order, zeros where it
+    is False; its backward gathers the real rows of the gradient."""
+    out = np.zeros((*mask.shape, x.shape[-1]), dtype=x.dtype)
+    out[mask] = x.data
+
+    def backward(g):
+        _accum(x, g[mask])
+
+    return _from_op(out, (x,), backward)
+
+
+def real_rows(h, mask):
+    """The rows of padded h (b, s, d) at the (b, s) mask's True positions,
+    in row-major order: the packed layout, as a graph op."""
+    b, s = mask.shape
+    return embedding_lookup(reshape(h, (b * s, h.shape[-1])), np.flatnonzero(mask))
+
+
 def composed_packed_attention(x, wq, wk, wv, wo, mask, heads, c):
     """Packed rows x (tokens, d_in) through the attention layer built from
     single graph ops: ``matmul`` projections, each scattered to (b, s, d) and
@@ -105,11 +126,10 @@ def composed_packed_attention(x, wq, wk, wv, wo, mask, heads, c):
     merged heads gathered back to the mask's real rows, and ``matmul`` by wo."""
     b, s = mask.shape
     d = wq.shape[-1]
-    qh, kh, vh = (swap_axes(reshape(to_padded(matmul(x, w), mask), (b, s, heads, -1)), 1, 2)
+    qh, kh, vh = (swap_axes(reshape(scatter_rows(matmul(x, w), mask), (b, s, heads, -1)), 1, 2)
                   for w in (wq, wk, wv))
     att = composed_attention(qh, kh, vh, c, mask[:, None])
-    merged = reshape(swap_axes(att, 1, 2), (b * s, d))
-    return matmul(embedding_lookup(merged, np.flatnonzero(mask)), wo)
+    return matmul(real_rows(reshape(swap_axes(att, 1, 2), (b, s, d)), mask), wo)
 
 
 def attention_runs(fns, shapes, args, dtype, seed):

@@ -1,5 +1,6 @@
 """Checkpoint save/load: bit-exact round trips and format guards."""
 
+import io
 import json
 import mmap
 import struct
@@ -10,6 +11,7 @@ import zipfile
 import zlib
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from textmoe import (
     load_checkpoint,
     save_checkpoint,
 )
-from textmoe import checkpoint
+from textmoe import checkpoint, cli
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
 
 
@@ -320,6 +322,37 @@ def test_truncated_inside_the_embedding_is_usage_error(tmp_path):
     (tmp_path / "m.npz").write_bytes(whole[:at + model.embedding.matrix.data.nbytes // 2])
     with pytest.raises(UsageError, match="not a checkpoint"):
         load_checkpoint(path)
+
+
+def _predict_code(path, capsys):
+    with mock.patch("sys.stdin", io.StringIO("w1 w2\n")):
+        code = cli.main(["predict", str(path)])
+    assert "not a checkpoint" in capsys.readouterr().err
+    return code
+
+
+def test_unparsable_npy_header_is_usage_error(tmp_path, capsys):
+    # A header padding space made "(" leaves numpy's parser a bracket it never
+    # closes, and tokenize raises TokenError.
+    model, vocab, lexicon, names = build(seed=15)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    raw = Path(path).read_bytes()
+    at = raw.index(b"} ", raw.index(b"{'descr'")) + 1
+    Path(path).write_bytes(raw[:at] + b"(" + raw[at + 1:])
+    with pytest.raises(UsageError, match="meta.npy: unreadable .npy header"):
+        load_checkpoint(path)
+    assert _predict_code(path, capsys) == 2
+
+
+def test_unsupported_zip_version_is_usage_error(tmp_path, capsys):
+    model, vocab, lexicon, names = build(seed=16)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    raw = bytearray(Path(path).read_bytes())
+    raw[raw.index(b"PK\x01\x02") + 6] = 0xAD  # the central directory's version needed
+    Path(path).write_bytes(bytes(raw))
+    with pytest.raises(UsageError, match="zip file version 17.3"):
+        load_checkpoint(path)
+    assert _predict_code(path, capsys) == 2
 
 
 def test_new_checkpoint_is_a_valid_npz(tmp_path):

@@ -179,6 +179,20 @@ def test_write_then_load_round_trip(tmp_path):
     assert back == cfg
 
 
+def test_percent_signs_are_read_and_written_as_they_are(tmp_path):
+    # Values are not interpolated: "%" is no error, and "%%" stays two signs.
+    _scaffold(tmp_path)
+    (tmp_path / "lex%1.txt").write_text("sad\n", encoding="utf-8")
+    ini = _edited_ini(tmp_path, "lexicon = lex.txt\n",
+                      "lexicon = lex%1.txt\ntext_column = body%%\n")
+    cfg = load_run_config(ini)
+    assert cfg.lexicon_path == str(tmp_path / "lex%1.txt")
+    assert cfg.text_column == "body%%"
+    out = tmp_path / "copy.ini"
+    write_run_config(cfg, str(out))
+    assert load_run_config(str(out)) == cfg
+
+
 def test_defaults_are_the_dataclass_defaults():
     assert RunConfig().model_config(57) == ModelConfig(vocab_size=57)
     assert RunConfig().train_config() == TrainConfig()

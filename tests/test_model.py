@@ -48,7 +48,7 @@ from textmoe.tensor import (
     swap_axes,
 )
 from textmoe.train import compute_loss, dataset_ce
-from conftest import PAPER_DIMS, composed_attention
+from conftest import PAPER_DIMS, composed_attention, real_rows
 from test_acceptance import ACCEPT_DIMS
 
 
@@ -303,7 +303,8 @@ def _per_head_expert(unit, x, mask, scale_mode):
         q, k, v = (matmul(x, slice_last(w, h * dh, (h + 1) * dh))
                    for w in (unit.wq, unit.wk, unit.wv))
         heads.append(attention(q, k, v, scale_mode, mask))
-    y = relu(add(matmul(matmul(concat_last(heads), unit.wo), unit.w1), unit.b1))
+    y = real_rows(relu(add(matmul(matmul(concat_last(heads), unit.wo), unit.w1), unit.b1)),
+                  mask)
     pooled = concat_last([masked_max(y, mask), masked_mean(y, mask)])
     z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
     return add(matmul(z, unit.w2b), unit.b2b)
@@ -394,7 +395,7 @@ def test_forward_mixes_experts_by_gate_weights(use_gate):
     packed = embed_with_markers(ids, bits, model.embedding.matrix, model.markers)
     outs = [expert_forward(u, packed, mask).data for u in model.experts]
     if use_gate:
-        gw = gate_weights(model.gates[1], x, mask).data
+        gw = gate_weights(model.gates[1], real_rows(x, mask), mask).data
     else:
         gw = np.full((len(batch), 3), 1.0 / 3)
     mixed = sum(gw[:, e:e + 1] * outs[e] for e in range(3))
@@ -722,9 +723,10 @@ def _real_token_dropout(h, mask, rate, training, rng):
 
 
 def _padded_forward(model, batch, task_id, training=False, rng=None):
-    """Reference forward with every layer on the padded (b, s, ·) layout,
-    padded positions included, and each token-wise dropout mask drawn for
-    the real tokens only."""
+    """Reference forward with every token-wise layer on the padded (b, s, ·)
+    layout, padded positions included, each token-wise dropout mask drawn
+    for the real tokens only, and the real rows gathered for pooling and
+    the gate."""
     cfg = model.cfg
     ids, bits, mask = model.pad_batch(batch)
     x = embed_with_markers(*to_padded_ids(ids, bits, mask), model.embedding.matrix,
@@ -741,12 +743,13 @@ def _padded_forward(model, batch, task_id, training=False, rng=None):
         h = _real_token_dropout(h, mask, cfg.dropout, training, rng)
         h = _real_token_dropout(relu(add(matmul(h, unit.w1), unit.b1)), mask,
                                 cfg.dropout, training, rng)
+        h = real_rows(h, mask)
         pooled = concat_last([masked_max(h, mask), masked_mean(h, mask)])
         z = relu(add(matmul(pooled, unit.w2a), unit.b2a))
         z = add(matmul(z, unit.w2b), unit.b2b)
         outs.append(dropout(z, cfg.dropout, training, rng))
     t = model.task_index(task_id)
-    gw = reshape(gate_weights(model.gates[t], x, mask), (b, 1, e))
+    gw = reshape(gate_weights(model.gates[t], real_rows(x, mask), mask), (b, 1, e))
     mixed = reshape(matmul(gw, reshape(concat_last(outs), (b, e, f))), (b, f))
     w, bias = model.heads[t]
     return add(matmul(mixed, w), bias)

@@ -79,10 +79,11 @@ def test_fused_attention_matches_the_composed_chain(b, s, heads, head_dim, d_in,
        experts=st.integers(1, 5), spread=st.floats(0.1, 10.0), seed=SEEDS)
 def test_gate_rows_sum_to_one(b, s, d, experts, spread, seed):
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-spread, spread, size=(b, s, d)), dtype=np.float32)
-    w = Tensor(rng.uniform(-spread, spread, size=(d, experts)), dtype=np.float32)
     mask = rng.random((b, s)) < 0.5
     mask[:, 0] = True
+    x = Tensor(rng.uniform(-spread, spread, size=(np.count_nonzero(mask), d)),
+               dtype=np.float32)  # one row per real position
+    w = Tensor(rng.uniform(-spread, spread, size=(d, experts)), dtype=np.float32)
     rows = gate_weights(w, x, mask).data
     assert rows.shape == (b, experts)
     assert (rows >= 0).all()

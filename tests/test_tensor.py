@@ -30,7 +30,6 @@ from textmoe.tensor import (
     softmax,
     sum_all,
     swap_axes,
-    to_padded,
     transpose_last,
 )
 from conftest import (
@@ -309,26 +308,54 @@ _ROWS = np.array([[True, True, False, False],
                   [True, False, False, False]])
 
 
-def test_to_padded_places_rows_and_zeroes_padding():
-    x = np.arange(7 * 6, dtype=np.float64).reshape(7, 6)
-    padded = to_padded(Tensor(x), _ROWS).data
-    assert padded.shape == (3, 4, 6)
-    np.testing.assert_array_equal(padded[_ROWS], x)
-    np.testing.assert_array_equal(padded[~_ROWS], 0.0)
+def test_masked_reduction_shape_errors():
+    for op in (masked_mean, masked_max):
+        for shape in ((6, 4), (3, 4, 2), (7,)):  # 6 or 12 rows, or none, for 7 positions
+            with pytest.raises(ShapeError, match=op.__name__):
+                op(Tensor(np.ones(shape)), _ROWS)
 
 
-def test_grad_to_padded(gradcheck):
-    rng = np.random.default_rng(41)
-    x = rand_tensor(rng, (7, 6))
-    w = Tensor(rng.normal(size=(3, 4, 6)), dtype=np.float64)
-    gradcheck(lambda: sum_all(mul(to_padded(x, _ROWS), w)), [x])
+def _padded_reductions(rows, mask, g):
+    """The masked mean and max of packed rows and their gradients for the
+    upstream gradients g = (g_mean, g_max), computed on the padded layout:
+    rows scattered to (..., s, d), zeros at padded positions, the mean a sum
+    over s divided by the count, the max's gradient all at its lowest index."""
+    padded = np.zeros((*mask.shape, rows.shape[-1]), dtype=rows.dtype)
+    padded[mask] = rows
+    w = mask.astype(rows.dtype)
+    counts = w.sum(axis=-1)[..., None]
+    mean = (padded * w[..., None]).sum(axis=-2) / counts
+    idx = np.where(mask[..., None], padded, -np.inf).argmax(axis=-2)
+    top = np.take_along_axis(padded, idx[..., None, :], axis=-2).squeeze(-2)
+    g_mean = g[0][..., None, :] * (w / counts)[..., None]
+    g_max = np.zeros_like(padded)
+    np.put_along_axis(g_max, idx[..., None, :], g[1][..., None, :], axis=-2)
+    return mean, top, g_mean[mask], g_max[mask]
 
 
-def test_layout_op_shape_errors():
-    with pytest.raises(ShapeError, match="to_padded"):
-        to_padded(Tensor(np.ones((6, 4))), _ROWS)
-    with pytest.raises(ShapeError, match="to_padded"):
-        to_padded(Tensor(np.ones((3, 4, 2))), _ROWS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_masked_reductions_match_the_padded_reference(lead, dtype):
+    rng = np.random.default_rng(len(lead))
+    mask = rng.random((*lead, 5)) < 0.6
+    mask[..., 0] = True
+    rows = rng.integers(0, 3, size=(np.count_nonzero(mask), 4)).astype(dtype)  # many ties
+    rows[:, 1] = 2.0  # an all-equal column: every max goes to the first real row
+    g = [rng.normal(size=(*lead, 4)).astype(dtype) for _ in range(2)]
+    got = []
+    for op, gi in zip((masked_mean, masked_max), g):
+        x = Tensor(rows.copy(), requires_grad=True)
+        out = op(x, mask)
+        sum_all(mul(out, Tensor(gi))).backward()
+        got.append((out.data, x.grad))
+    (mean, g_mean), (top, g_max) = got
+    for a, b in zip((mean, top, g_mean, g_max), _padded_reductions(rows, mask, g)):
+        assert a.dtype == dtype
+        np.testing.assert_array_equal(a, b)
+    # The all-equal column's gradient is all on each sequence's first row.
+    firsts = np.r_[0, np.cumsum(mask.reshape(-1, 5).sum(axis=-1))[:-1]]
+    np.testing.assert_array_equal(g_max[firsts, 1], g[1].reshape(-1, 4)[:, 1])
+    assert np.count_nonzero(g_max[:, 1]) == len(firsts)
 
 
 # ---------------------------------------------------------------- attention
@@ -385,7 +412,7 @@ def test_grad_softmax(gradcheck):
 
 def test_grad_masked_mean_and_max(gradcheck):
     rng = np.random.default_rng(12)
-    x = rand_tensor(rng, (2, 4, 3))
+    x = rand_tensor(rng, (4, 3))  # the 4 real rows of mask below
     # Distinct values keep the max away from ties, where the derivative
     # is not defined and finite differences would disagree.
     x.data += np.arange(x.data.size).reshape(x.shape) * 0.01
@@ -554,7 +581,7 @@ def test_no_grad_nests_and_restores_after_an_exception():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_no_grad_values_are_bitwise_the_recorded_ones(dtype):
     rng = np.random.default_rng(8)
-    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True, dtype=dtype)
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=dtype)
     b = Tensor(rng.normal(size=(4, 5)), requires_grad=True, dtype=dtype)
     mask = np.array([[True, True, False], [True, False, False]])
 
@@ -628,7 +655,7 @@ def test_concat_last_empty():
 
 
 def test_masked_reductions_reject_fully_masked_row():
-    x = Tensor(np.ones((2, 3, 2)))
+    x = Tensor(np.ones((2, 2)))
     mask = np.array([[True, False, True], [False, False, False]])
     with pytest.raises(UsageError):
         masked_mean(x, mask)
@@ -637,7 +664,7 @@ def test_masked_reductions_reject_fully_masked_row():
 
 
 def test_masked_mean_hand_value():
-    x = Tensor(np.array([[[1.0, 10.0], [3.0, 30.0], [100.0, 100.0]]]))
+    x = Tensor(np.array([[1.0, 10.0], [3.0, 30.0]]))
     mask = np.array([[True, True, False]])
     np.testing.assert_allclose(masked_mean(x, mask).data, [[2.0, 20.0]], atol=1e-6)
     np.testing.assert_allclose(masked_max(x, mask).data, [[3.0, 30.0]], atol=1e-6)
