@@ -27,16 +27,19 @@ from .config import (
     resolve_output_dir,
     write_run_config,
 )
-from .data import (
+# tokenize is unused here, but perfbench/spans.py wraps it by the name this
+# module imports and looks it up, so it stays.
+from .data import (  # noqa: F401
     DEPRESSION,
     SENTIMENT,
     TASK_IDS,
     atomic_open,
     build_vocab,
     dataset_rows,
+    encode_rows,
     encode_text,
     load_csv_dataset,
-    read_csv_rows,
+    read_token_rows,
     synth_generate,
     tokenize,
     write_csv,
@@ -60,32 +63,29 @@ def _load_lexicon(cfg: RunConfig):
     return load_plain_lexicon(cfg.lexicon_path, cfg.language)
 
 
-def _read_token_lists(path: str, cfg: RunConfig) -> list[list[str]]:
-    return [tokenize(row[cfg.text_column], cfg.language)
-            for _, row in read_csv_rows(path, (cfg.text_column,))]
-
-
 def load_bundle(cfg: RunConfig) -> DataBundle:
-    """Lexicon + vocabulary + datasets as configured."""
+    """Lexicon + vocabulary + datasets as configured, reading each CSV once.
+    The vocabulary counts the training rows' full token lists, so a token
+    seen only past max_seq_len still gets an id."""
     lexicon = _load_lexicon(cfg)
-    corpora = []
-    if cfg.sentiment_csv:
-        corpora += _read_token_lists(cfg.sentiment_csv, cfg)
-    corpora += _read_token_lists(cfg.depression_csv, cfg)
-    vocab = build_vocab(corpora, cfg.min_count)
 
-    def load(path: str, task_id: str):
-        return load_csv_dataset(path, task_id, cfg.text_column, cfg.label_column,
-                                cfg.label_map, lexicon, vocab, cfg.language,
-                                cfg.model.max_seq_len)
+    def read(path: str) -> list[tuple[int, list[str], str]]:
+        return list(read_token_rows(path, cfg.text_column, cfg.label_column, cfg.language))
 
+    def encode(path: str, rows, task_id: str):
+        return encode_rows(path, rows, task_id, cfg.label_map, lexicon, vocab,
+                           cfg.model.max_seq_len)
+
+    sentiment = read(cfg.sentiment_csv) if cfg.sentiment_csv else []
+    depression = read(cfg.depression_csv)
+    vocab = build_vocab([tokens for _, tokens, _ in sentiment + depression], cfg.min_count)
     return DataBundle(
-        sentiment=load(cfg.sentiment_csv, SENTIMENT) if cfg.sentiment_csv else None,
-        depression=load(cfg.depression_csv, DEPRESSION),
+        sentiment=encode(cfg.sentiment_csv, sentiment, SENTIMENT) if cfg.sentiment_csv else None,
+        depression=encode(cfg.depression_csv, depression, DEPRESSION),
         vocab=vocab,
         lexicon=lexicon,
-        depression_test=(load(cfg.depression_test_csv, DEPRESSION)
-                         if cfg.depression_test_csv else None),
+        depression_test=(encode(cfg.depression_test_csv, read(cfg.depression_test_csv),
+                                DEPRESSION) if cfg.depression_test_csv else None),
         embeddings_path=cfg.embeddings_path or None,
     )
 

@@ -1,10 +1,11 @@
 """Tokenization, vocabulary, embeddings, dataset loading, synthetic data,
 and the atomic file writes every artifact goes through.
 
-Both tasks share one vocabulary. Reserved ids: PAD=0, UNK=1. Sequences are
-truncated to the model's ``max_seq_len`` tokens (MAX_SEQ_LEN by default).
-Marker bits are computed on token strings before vocabulary encoding, so
-out-of-vocabulary words still match the lexicon.
+Both tasks share one vocabulary. Reserved ids: PAD=0, UNK=1. Each CSV is
+read and tokenized once; the vocabulary counts every token of a row, and
+encoding truncates it to the model's ``max_seq_len`` (MAX_SEQ_LEN by
+default). Marker bits are computed on token strings before vocabulary
+encoding, so out-of-vocabulary words still match the lexicon.
 """
 
 from __future__ import annotations
@@ -268,19 +269,33 @@ def read_csv_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[int, dict
             raise DataError(f"{path}: row {reader.reader.line_num}: {e}") from e
 
 
+def read_token_rows(path: str, text_column: str, label_column: str,
+                    language: str = "english") -> Iterator[tuple[int, list[str], str]]:
+    """(line number, every token of the text, label) per read_csv_rows row."""
+    for line, row in read_csv_rows(path, (text_column, label_column)):
+        yield line, tokenize(row[text_column], language), row[label_column]
+
+
+def encode_rows(path: str, rows: Iterable[tuple[int, list[str], str]], task_id: str,
+                label_map: dict[str, int], lexicon: Lexicon, vocab: Vocabulary,
+                max_len: int = MAX_SEQ_LEN) -> TaskDataset:
+    """read_token_rows' rows of ``path`` -> TaskDataset, truncated to max_len."""
+    examples: list[Example] = []
+    for line, tokens, raw_label in rows:
+        if raw_label not in label_map:
+            raise DataError(f"{path}: row {line}: unknown label {raw_label!r}")
+        tokens = tokens[:max_len]
+        examples.append(Example(vocab.encode(tokens), mark_tokens(lexicon, tokens),
+                                label_map[raw_label]))
+    return TaskDataset(task_id, examples, max(label_map.values()) + 1)
+
+
 def load_csv_dataset(path: str, task_id: str, text_column: str, label_column: str,
                      label_map: dict[str, int], lexicon: Lexicon, vocab: Vocabulary,
                      language: str = "english", max_len: int = MAX_SEQ_LEN) -> TaskDataset:
-    """RFC-4180 CSV with a header row -> TaskDataset."""
-    num_classes = max(label_map.values()) + 1
-    examples: list[Example] = []
-    for line, row in read_csv_rows(path, (text_column, label_column)):
-        raw_label = row[label_column]
-        if raw_label not in label_map:
-            raise DataError(f"{path}: row {line}: unknown label {raw_label!r}")
-        ids, bits = encode_text(row[text_column], vocab, lexicon, language, max_len)
-        examples.append(Example(ids, bits, label_map[raw_label]))
-    return TaskDataset(task_id, examples, num_classes)
+    """RFC-4180 CSV with a header row -> TaskDataset, one row at a time."""
+    rows = read_token_rows(path, text_column, label_column, language)
+    return encode_rows(path, rows, task_id, label_map, lexicon, vocab, max_len)
 
 
 # ------------------------------------------------------------ synthetic data

@@ -174,15 +174,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------- linear ops
 
 
-def _mm(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w. With a 2-d w this is one GEMM over all leading rows of x:
-    numpy would run one small GEMM per leading index and, once w outgrows
-    the cache, stream w from memory for every one of them."""
-    if w.ndim == 2 and x.ndim > 2:
-        return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
-    return x @ w
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., m, k) @ (..., k, n) -> (..., m, n); leading axes may broadcast."""
     if a.ndim < 2 or b.ndim < 2:
@@ -190,22 +181,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     try:
-        out = _mm(a.data, b.data)
+        out = a.data @ b.data
     except ValueError as e:
         raise ShapeError(f"matmul leading axes do not broadcast: {a.shape} @ {b.shape}") from e
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            _accum(a, _unbroadcast(_mm(g, np.swapaxes(b.data, -1, -2)), a.shape))
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            if b.ndim == 2:
-                # A weight: one GEMM over all leading rows, where the batched
-                # product would build a (batch, k, n) array only to sum it.
-                k, n = b.shape
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-            else:
-                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-            _accum(b, gb)
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _from_op(out, (a, b), backward)
 

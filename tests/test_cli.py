@@ -2,6 +2,7 @@
 pipeline, sweep commands, exit codes, and rerun reproducibility.
 """
 
+import csv
 import io
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from textmoe import ablation, cli
+from textmoe import ablation, cli, data
 from textmoe.checkpoint import load_checkpoint
 from textmoe.config import RunConfig, load_run_config
 from textmoe.cli import PREDICT_CHUNK_LINES, main
@@ -273,7 +274,56 @@ def test_config_that_is_not_utf8_exits_2(workspace, tmp_path, capsys):
 def test_vocabulary_csv_reads_a_byte_order_mark(tmp_path):
     p = tmp_path / "posts.csv"
     p.write_text("\ufefftext,label\nHello world,1\n", encoding="utf-8")
-    assert cli._read_token_lists(str(p), RunConfig()) == [["hello", "world"]]
+    (tmp_path / "lex.txt").write_text("world\n", encoding="utf-8")
+    bundle = cli.load_bundle(RunConfig(depression_csv=str(p),
+                                       lexicon_path=str(tmp_path / "lex.txt")))
+    assert bundle.vocab.id_to_token[2:] == ("hello", "world")
+    assert bundle.depression.examples == [([2, 3], [0, 1], 1)]
+
+
+def _two_pass_bundle(cfg):
+    """load_bundle as it was built before the single read: one pass over the
+    training CSVs to count tokens, then load_csv_dataset for each dataset."""
+    corpora = [data.tokenize(row[cfg.text_column], cfg.language)
+               for path in (cfg.sentiment_csv, cfg.depression_csv)
+               for _, row in data.read_csv_rows(path, (cfg.text_column,))]
+    vocab = data.build_vocab(corpora, cfg.min_count)
+    lexicon = cli._load_lexicon(cfg)
+    load = [data.load_csv_dataset(path, task, cfg.text_column, cfg.label_column,
+                                  cfg.label_map, lexicon, vocab, cfg.language,
+                                  cfg.model.max_seq_len)
+            for path, task in ((cfg.sentiment_csv, "sentiment"),
+                               (cfg.depression_csv, "depression"),
+                               (cfg.depression_test_csv, "depression"))]
+    return vocab, lexicon, load
+
+
+@pytest.mark.parametrize("min_count", [1, 2])
+def test_load_bundle_parses_each_csv_once(tmp_path, monkeypatch, min_count):
+    # "late" appears only past max_seq_len = 3, twice, so it has an id at
+    # min_count 2 as well; "once" appears once, past the cut as well.
+    files = {"sentiment.csv": "text,label\nA b c late,1\nb c,0\nc a b once,1\n",
+             "depression.csv": "text,label\nb a c late,0\nsad a,1\na,0\n",
+             "test.csv": "text,label\nlate sad x,1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "lex.txt").write_text("sad\nlate\n", encoding="utf-8")
+    cfg = RunConfig(sentiment_csv=str(tmp_path / "sentiment.csv"),
+                    depression_csv=str(tmp_path / "depression.csv"),
+                    depression_test_csv=str(tmp_path / "test.csv"),
+                    lexicon_path=str(tmp_path / "lex.txt"), min_count=min_count)
+    cfg.model.max_seq_len = 3
+    vocab, lexicon, (sentiment, depression, test) = _two_pass_bundle(cfg)
+    assert ("late" in vocab.token_to_id) and (("once" in vocab.token_to_id) == (min_count == 1))
+
+    reads = []
+    real = csv.DictReader
+    monkeypatch.setattr(csv, "DictReader", lambda fh: reads.append(fh.name) or real(fh))
+    bundle = cli.load_bundle(cfg)
+    assert sorted(reads) == sorted(str(tmp_path / name) for name in files)
+    assert bundle.vocab == vocab and bundle.lexicon == lexicon
+    assert bundle.sentiment == sentiment and bundle.depression == depression
+    assert bundle.depression_test == test
 
 
 def test_unknown_label_in_dataset_exits_1(workspace, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Mutation fuzzing of the files a run reads: a small trained checkpoint
-(bit flips, zip and .npy header bytes, truncation) and the quick-start
-config.ini. Every mutated input must either work as the original does or
-fail with an error that ``cli.main`` turns into exit code 1 or 2; an
-exception that escapes ``cli.main`` fails the test.
+(bit flips, zip and .npy header bytes, truncation), the quick-start
+config.ini, the training and eval CSVs, the GloVe text, both lexicon
+formats and predict's stdin. Every mutated input must either work as the
+original does or fail with an error that ``cli.main`` turns into exit code
+1 or 2; an exception that escapes ``cli.main`` fails the test.
 """
 
 import contextlib
@@ -17,18 +18,35 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from textmoe import cli, load_checkpoint, load_run_config, write_run_config  # noqa: E402
+from textmoe import cli, data, load_checkpoint, load_run_config, write_run_config  # noqa: E402
 
-# Deterministic and bounded: the same examples on every run.
+# Deterministic and bounded: the same examples on every run. The text-file
+# fuzzers run a command per example, so they take fewer.
 FUZZ = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+FUZZ_TEXT = settings(FUZZ, max_examples=30)
+
+
+def _run(argv, stdin="") -> tuple[int, str]:
+    """cli.main's exit code and stdout for argv, with stdin given (a str or
+    a text stream) and stderr dropped."""
+    out = io.StringIO()
+    stdin = io.StringIO(stdin) if isinstance(stdin, str) else stdin
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv), out.getvalue()
 
 
 def _main(argv, stdin="") -> int:
     """cli.main's exit code for argv, with stdin given and output dropped."""
-    out = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(stdin)), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(out):
-        return cli.main(argv)
+    return _run(argv, stdin)[0]
+
+
+def _splice(data, raw: bytes, text: bytes, edits: int) -> bytes:
+    """raw with up to 3 bytes at each of ``edits`` drawn places replaced by text."""
+    for _ in range(edits):
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + text + raw[at + data.draw(st.integers(0, 3)):]
+    return raw
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +139,131 @@ def _round_trip(path):
        text=st.sampled_from([b"%", b"%%", b"%(x)s", b"[", b"]", b"=", b":", b"\n", b"#",
                              b";", b"\x00", b"\xff", "é".encode(), b"1e309", b"-1", b""]))
 def test_mutated_config(project, data, edits, text):
-    config = project["config"]
-    for _ in range(edits):  # replace up to 3 bytes at a random place by text
-        at = data.draw(st.integers(0, len(config)))
-        config = config[:at] + text + config[at + data.draw(st.integers(0, 3)):]
+    config = _splice(data, project["config"], text, edits)
     path = project["root"] / "data" / "mutated.ini"
     path.write_bytes(config)
     with mock.patch.object(cli, "cmd_train", _round_trip(path)):
         assert _main(["train", str(path)]) in (0, 1, 2)
+
+
+@pytest.fixture(scope="module")
+def small(project):
+    """A copy of the quick-start data with six rows per CSV, so that a
+    training run takes milliseconds, and an NRC-format lexicon beside the
+    plain one with a config that reads it."""
+    src, root = project["root"] / "data", project["root"] / "small"
+    root.mkdir()
+    for name in ("config.ini", "lexicon.txt", "embeddings.txt"):
+        (root / name).write_bytes((src / name).read_bytes())
+    for name in ("sentiment.csv", "depression.csv", "depression_test.csv"):
+        lines = (src / name).read_bytes().splitlines(keepends=True)
+        (root / name).write_bytes(b"".join(lines[:7]))
+    (root / "lexicon.tsv").write_bytes(b"neg0\tsadness\t1\nNEG1\tfear\t1\nneg2\tjoy\t1\n"
+                                       b"w1\tanger\t0\n")
+    config = (root / "config.ini").read_text(encoding="utf-8")
+    config = config.replace("lexicon = lexicon.txt", "lexicon = lexicon.tsv")
+    (root / "nrc.ini").write_text(config.replace("lexicon_format = plain",
+                                                 "lexicon_format = nrc"), encoding="utf-8")
+    return root
+
+
+@contextlib.contextmanager
+def _mutated(path, raw: bytes):
+    """path holds raw inside the block, and its old bytes again after it."""
+    original = path.read_bytes()
+    path.write_bytes(raw)
+    try:
+        yield
+    finally:
+        path.write_bytes(original)
+
+
+def _load_only(args) -> int:
+    """A stand-in for `train` that stops once the config and data are read."""
+    cli._prepare_run(args)
+    return 0
+
+
+CSV_TEXT = [b'"', b'""', b",", b"\n", b"\r\n", b"\xef\xbb\xbf", b"\x00", b",x,y", b"2",
+            b"maybe", b"", b"\xff", b"text", b"label", b"w" * 140_000, b"w1 " * 300]
+
+
+@FUZZ_TEXT
+@given(data=st.data(), edits=st.integers(1, 3), text=st.sampled_from(CSV_TEXT),
+       name=st.sampled_from(["sentiment.csv", "depression.csv", "depression_test.csv"]))
+def test_mutated_training_csv(small, data, edits, text, name):
+    path = small / name
+    with _mutated(path, _splice(data, path.read_bytes(), text, edits)):
+        assert _main(["train", str(small / "config.ini"), "--out", str(small / "run"),
+                      "--max-epochs", "1"]) in (0, 1, 2)
+
+
+@FUZZ_TEXT
+@given(data=st.data(), edits=st.integers(1, 3), text=st.sampled_from(CSV_TEXT))
+def test_mutated_eval_csv(project, small, data, edits, text):
+    path = small / "eval.csv"
+    path.write_bytes(_splice(data, (small / "depression_test.csv").read_bytes(), text, edits))
+    assert _main(["eval", str(project["root"] / "run" / "model.npz"), str(path)]) in (0, 1, 2)
+
+
+def _glove_against_line_loop(args) -> int:
+    """A stand-in for `train`: load_glove on the configured embeddings must
+    equal _load_glove_lines bitwise wherever it succeeds."""
+    cfg, _, bundle = cli._prepare_run(args)
+    path, dim = bundle.embeddings_path, cfg.model.word_dim
+    fast = data.load_glove(path, bundle.vocab, dim, np.random.default_rng(0))
+    slow = data._load_glove_lines(path, bundle.vocab, dim, np.random.default_rng(0))
+    assert fast.matrix.data.tobytes() == slow.matrix.data.tobytes()
+    return 0
+
+
+GLOVE_TEXT = [b" ", b"  ", b"\n", b"\r", b"\t", b"nan", b"inf", b"-inf", b"1e39", b"1e309",
+              b"x", b"1_0", b"+", b".", b"e", b"\x1c", b"\x1d", b"\x1e", b"\x1f",
+              b"\xef\xbb\xbf", b"\x00", b"\xff", b"\xc2\xa0", b""]
+
+
+@FUZZ_TEXT
+@given(data=st.data(), edits=st.integers(0, 3), text=st.sampled_from(GLOVE_TEXT),
+       duplicate=st.booleans())
+def test_mutated_glove_text(small, data, edits, text, duplicate):
+    path = small / "embeddings.txt"
+    lines = path.read_bytes().splitlines(keepends=True)
+    if duplicate:  # one line's token again, with another line's values
+        token = lines[data.draw(st.integers(0, len(lines) - 1))].split(b" ", 1)[0]
+        values = lines[data.draw(st.integers(0, len(lines) - 1))].split(b" ", 1)[1]
+        lines.insert(data.draw(st.integers(0, len(lines))), token + b" " + values)
+    with _mutated(path, _splice(data, b"".join(lines), text, edits)), \
+            mock.patch.object(cli, "cmd_train", _glove_against_line_loop):
+        assert _main(["train", str(small / "config.ini")]) in (0, 1, 2)
+
+
+LEXICON_TEXT = [b"\n", b"\t", b"\t1", b"#", b" ", b"\r", b"\x00", b"\xff", b"\xef\xbb\xbf",
+                b"NEG", b"sadness", b"joy", b"nonsense", b"0", b"2", b"", "é".encode()]
+
+
+@FUZZ_TEXT
+@given(data=st.data(), edits=st.integers(1, 3), text=st.sampled_from(LEXICON_TEXT),
+       names=st.sampled_from([("lexicon.txt", "config.ini"), ("lexicon.tsv", "nrc.ini")]))
+def test_mutated_lexicon(small, data, edits, text, names):
+    path = small / names[0]
+    with _mutated(path, _splice(data, path.read_bytes(), text, edits)), \
+            mock.patch.object(cli, "cmd_train", _load_only):
+        assert _main(["train", str(small / names[1])]) in (0, 1, 2)
+
+
+@FUZZ_TEXT
+@given(lines=st.lists(st.one_of(st.text(max_size=30), st.binary(max_size=8).map(repr),
+                                st.sampled_from(["w1 " * 200, "w1" * 20_000])),
+                      max_size=6),
+       junk=st.binary(max_size=4), blank=st.sampled_from([0, 255, 256]),
+       errors=st.sampled_from(["strict", "surrogateescape"]))
+def test_predict_stdin(project, lines, junk, blank, errors):
+    raw = "\n".join(lines).encode() + junk + b"\n" * blank
+
+    def stdin():
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors)
+
+    code, out = _run(["predict", str(project["root"] / "run" / "model.npz")], stdin())
+    assert code in (0, 1, 2)
+    if code == 0:  # one label and probability per input line
+        assert len(out.splitlines()) == len(stdin().readlines())
