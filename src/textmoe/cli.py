@@ -69,25 +69,23 @@ def load_bundle(cfg: RunConfig) -> DataBundle:
     seen only past max_seq_len still gets an id."""
     lexicon = _load_lexicon(cfg)
 
-    def read(path: str) -> list[tuple[int, list[str], str]]:
-        return list(read_token_rows(path, cfg.text_column, cfg.label_column, cfg.language))
+    def read(path: str):
+        return read_token_rows(path, cfg.text_column, cfg.label_column, cfg.language)
 
     def encode(path: str, rows, task_id: str):
         return encode_rows(path, rows, task_id, cfg.label_map, lexicon, vocab,
                            cfg.model.max_seq_len)
 
-    sentiment = read(cfg.sentiment_csv) if cfg.sentiment_csv else []
-    depression = read(cfg.depression_csv)
+    sentiment = list(read(cfg.sentiment_csv)) if cfg.sentiment_csv else []
+    depression = list(read(cfg.depression_csv))
     vocab = build_vocab([tokens for _, tokens, _ in sentiment + depression], cfg.min_count)
-    return DataBundle(
-        sentiment=encode(cfg.sentiment_csv, sentiment, SENTIMENT) if cfg.sentiment_csv else None,
-        depression=encode(cfg.depression_csv, depression, DEPRESSION),
-        vocab=vocab,
-        lexicon=lexicon,
-        depression_test=(encode(cfg.depression_test_csv, read(cfg.depression_test_csv),
-                                DEPRESSION) if cfg.depression_test_csv else None),
-        embeddings_path=cfg.embeddings_path or None,
-    )
+    # Each dataset takes its rows' place, so the rows are freed once encoded.
+    sentiment = encode(cfg.sentiment_csv, sentiment, SENTIMENT) if cfg.sentiment_csv else None
+    depression = encode(cfg.depression_csv, depression, DEPRESSION)
+    test = (encode(cfg.depression_test_csv, read(cfg.depression_test_csv), DEPRESSION)
+            if cfg.depression_test_csv else None)
+    return DataBundle(sentiment=sentiment, depression=depression, vocab=vocab, lexicon=lexicon,
+                      depression_test=test, embeddings_path=cfg.embeddings_path or None)
 
 
 def _prepare_run(args: argparse.Namespace, ratios: Sequence[tuple[int, int]] = (),
