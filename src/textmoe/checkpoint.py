@@ -19,7 +19,10 @@ Loading maps the file copy-on-write and takes every entry from that
 mapping: an aligned entry stays a view of it, and any other entry
 (``np.savez`` puts most of its entries at arbitrary offsets) is copied
 out of it. Each entry's CRC-32 is checked over its stored bytes, .npy
-header and data. A compressed archive is not a checkpoint.
+header and data. Neither a compressed archive nor one with an .npy header
+in any form but the one ``np.lib.format.write_array`` gives a plain array
+is a checkpoint: version 1.0 (numpy writes 2.0 only past 64 KiB), with
+descr, fortran_order and shape padded by spaces, and no object dtype.
 
 Every archive is checked the same way: the loading thread parses the
 meta and builds the model, then checks the entries. ``load_checkpoint``
@@ -43,6 +46,7 @@ from __future__ import annotations
 import json
 import math
 import mmap
+import re
 import struct
 import threading
 import zipfile
@@ -65,9 +69,9 @@ _ALIGN = 64
 _PAD_ID = 0xD935  # zipalign's extra-field ID for alignment padding
 # Archives with this many stored bytes check their CRC-32s on two threads.
 _THREAD_MIN_BYTES = 8 << 20
-# numpy parses .npy headers with ast.literal_eval, which CPython 3.11 fails
-# with SystemError when threads parse at once; loads take turns here.
-_HEADER_LOCK = threading.Lock()
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"  # version 1.0, the one read (see the module docstring)
+_NPY_HEADER = re.compile(rb"\{'descr': '([<>|][biufcSU]\d+)', 'fortran_order': (False|True), "
+                         rb"'shape': \((|\d+,|\d+(?:, \d+)+)\), \} *\n")
 
 
 @dataclass
@@ -135,23 +139,18 @@ def _entry_layout(fh, info: zipfile.ZipInfo) -> tuple[int, int, np.dtype, tuple,
     name_len, extra_len = struct.unpack("<HH", local[26:])
     start = info.header_offset + 30 + name_len + extra_len
     fh.seek(start)
+    magic, length = fh.read(8), int.from_bytes(fh.read(2), "little")
+    form = _NPY_HEADER.fullmatch(fh.read(length)) if magic == _NPY_MAGIC else None
     try:
-        version = np.lib.format.read_magic(fh)
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError(f"unsupported .npy version {version}")
-        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                       else np.lib.format.read_array_header_2_0)
-        with _HEADER_LOCK:
-            shape, fortran, dtype = read_header(fh)
-    except OSError:
-        raise
-    except Exception as e:  # numpy's header parser raises many types, tokenize's too
-        raise ValueError(f"{info.filename}: unreadable .npy header: {e}") from None
-    if dtype.hasobject:
-        raise ValueError(f"{info.filename}: object arrays are not allowed")
+        dtype = np.dtype(form[1].decode()) if form else None
+    except TypeError:  # a size its kind does not have, such as <f3
+        dtype = None
+    if dtype is None:
+        raise ValueError(f"{info.filename}: unreadable .npy header")
+    shape = tuple(int(n) for n in form[3].split(b",") if n)
     if fh.tell() - start + math.prod(shape) * dtype.itemsize != info.file_size:
         raise ValueError(f"{info.filename}: size does not match its .npy header")
-    return start, fh.tell(), dtype, shape, "F" if fortran else "C"
+    return start, fh.tell(), dtype, shape, "F" if form[2] == b"True" else "C"
 
 
 def _start_checks(path: str, checks: list[tuple[str, np.ndarray, int]]) -> Callable[[], None]:
@@ -209,9 +208,10 @@ def _read_archive(path: str) -> tuple[np.ndarray, dict[str, np.ndarray], Callabl
     _THREAD_MIN_BYTES stored bytes. The arrays are unverified until the
     returned function has returned.
 
-    A file that is not an .npz archive of plain stored arrays raises
-    UsageError here, and an entry that fails its checksum raises it from
-    the returned function; a missing or unreadable file keeps its OSError.
+    A file that is not an .npz archive of plain stored arrays with version
+    1.0 .npy headers in write_array's form raises UsageError here, and an
+    entry that fails its checksum raises it from the returned function; a
+    missing or unreadable file keeps its OSError.
     """
     try:
         with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:

@@ -9,6 +9,7 @@ then [output] dir, then $TEXTMOE_OUTPUT_DIR, then ./textmoe_out.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -247,6 +248,7 @@ def cmd_init(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="textmoe",
@@ -266,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write checkpoint/log/metrics")
     add_run_flags(p)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a CSV dataset")
     p.add_argument("checkpoint")
@@ -274,22 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default=DEPRESSION, choices=list(TASK_IDS))
     p.add_argument("--text-column", dest="text_column", default=None)
     p.add_argument("--label-column", dest="label_column", default=None)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="label stdin lines as label<TAB>probability")
     p.add_argument("checkpoint")
     p.add_argument("--task", default=DEPRESSION, choices=list(TASK_IDS))
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("ablate", help="run the four ablation variants")
     add_run_flags(p)
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("ratio-sweep", help="train once per sentiment:depression ratio")
     add_run_flags(p)
     p.add_argument("--ratios", default="0:1,1:1,3:1",
                    help="comma-separated list, e.g. 0:1,1:1,3:1,5:1")
-    p.set_defaults(func=cmd_ratio_sweep)
 
     p = sub.add_parser("init", help="write a synthetic quick-start (data + config)")
     p.add_argument("outdir")
@@ -297,15 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-task", dest="n_per_task", type=int, default=400)
     p.add_argument("--vocab-size", dest="vocab_size", type=int, default=120)
     p.add_argument("--signal", type=float, default=0.9)
-    p.set_defaults(func=cmd_init)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, so that a cmd_* replaced after import is the one run.
+    command = {"train": cmd_train, "eval": cmd_eval, "predict": cmd_predict,
+               "ablate": cmd_ablate, "ratio-sweep": cmd_ratio_sweep, "init": cmd_init}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except (ConfigError, UsageError) as e:
         print(f"error: {e}", file=sys.stderr)
         return CONFIG_EXIT

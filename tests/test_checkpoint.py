@@ -28,13 +28,13 @@ from textmoe import checkpoint, cli
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
 
 
-def build(seed=0):
+def build(seed=0, dtype=np.float32):
     cfg = ModelConfig(vocab_size=9, word_dim=4, marker_dim=2, num_heads=2,
                       ff1_dim=5, ff2_hidden=4, ff2_out=3, num_experts=2,
                       dropout=0.1)
     rng = np.random.default_rng(seed)
     vocab = Vocabulary.from_tokens(f"w{i}" for i in range(7))
-    model = MoeClassifier(cfg, EmbeddingTable.random(vocab, 4, rng), rng)
+    model = MoeClassifier(cfg, EmbeddingTable.random(vocab, 4, rng, dtype), rng, dtype=dtype)
     lexicon = Lexicon(frozenset({"w0", "w3"}), language="english", source="test")
     names = {SENTIMENT: ["neg", "pos"], DEPRESSION: ["control", "depressed"]}
     return model, vocab, lexicon, names
@@ -99,20 +99,25 @@ def is_mapped(array):
     return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
 
 
-def data_offsets(path):
-    """File offset of each entry's array data, by entry name."""
-    offsets = {}
+def reference_layouts(path):
+    """Each entry's (data offset, dtype, shape, order) by file name, read by
+    numpy's own version 1.0 header parser."""
+    layouts = {}
     with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
         for info in zf.infolist():
             fh.seek(info.header_offset + 26)
             name_len, extra_len = struct.unpack("<HH", fh.read(4))
             fh.seek(info.header_offset + 30 + name_len + extra_len)
-            if np.lib.format.read_magic(fh) == (1, 0):
-                np.lib.format.read_array_header_1_0(fh)
-            else:
-                np.lib.format.read_array_header_2_0(fh)
-            offsets[info.filename.removesuffix(".npy")] = fh.tell()
-    return offsets
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            layouts[info.filename] = (fh.tell(), dtype, shape, "F" if fortran else "C")
+    return layouts
+
+
+def data_offsets(path):
+    """File offset of each entry's array data, by entry name."""
+    return {name.removesuffix(".npy"): layout[0]
+            for name, layout in reference_layouts(path).items()}
 
 
 def flip_last_data_byte(path, entry):
@@ -306,10 +311,10 @@ def test_flipped_data_byte_fails_the_checksum(tmp_path, entry, rewrite):
     flip_last_data_byte(path, entry)
     with pytest.raises(UsageError, match="CRC"):
         load_checkpoint(path)
-    # A padding space of the .npy header turned into a tab still parses;
-    # only the checksum over the entry's stored bytes catches it.
-    assert whole[at - 2:at] == b" \n"
-    Path(path).write_bytes(whole[:at - 2] + b"\t" + whole[at - 1:])
+    # The descr's byte order turned big-endian still parses; only the
+    # checksum over the entry's stored bytes, header included, catches it.
+    order = whole.rindex(b"{'descr': '<", 0, at) + len(b"{'descr': '")
+    Path(path).write_bytes(whole[:order] + b">" + whole[order + 1:])
     with pytest.raises(UsageError, match="CRC"):
         load_checkpoint(path)
 
@@ -332,14 +337,78 @@ def _predict_code(path, capsys):
 
 
 def test_unparsable_npy_header_is_usage_error(tmp_path, capsys):
-    # A header padding space made "(" leaves numpy's parser a bracket it never
-    # closes, and tokenize raises TokenError.
+    # A header padding space made "(" puts the header out of write_array's form.
     model, vocab, lexicon, names = build(seed=15)
     path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
     raw = Path(path).read_bytes()
     at = raw.index(b"} ", raw.index(b"{'descr'")) + 1
     Path(path).write_bytes(raw[:at] + b"(" + raw[at + 1:])
     with pytest.raises(UsageError, match="meta.npy: unreadable .npy header"):
+        load_checkpoint(path)
+    assert _predict_code(path, capsys) == 2
+
+
+@pytest.mark.parametrize("kind", ["saved", "savez", "fortran", "float64"])
+def test_header_reader_agrees_with_numpy(tmp_path, kind):
+    dtype = np.float64 if kind == "float64" else np.float32
+    model, vocab, lexicon, names = build(seed=25, dtype=dtype)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    if kind in ("savez", "fortran"):
+        payload = read_archive(path)
+        if kind == "fortran":
+            payload["param/expert0.w1"] = np.asfortranarray(payload["param/expert0.w1"])
+        np.savez(path, **payload)
+    want = reference_layouts(path)
+    with open(path, "rb") as fh, zipfile.ZipFile(fh) as zf:
+        got = {info.filename: checkpoint._entry_layout(fh, info)[1:] for info in zf.infolist()}
+    assert got == want
+    orders = {order for _, _, _, order in got.values()}
+    assert orders == ({"C", "F"} if kind == "fortran" else {"C"})
+    assert {got[name][1] for name in got if name != "meta.npy"} == {np.dtype(dtype)}
+
+
+def rewrite_header(path, entry, edit):
+    """Replace the .npy magic and header of ``entry`` by ``edit`` of them,
+    which must keep their length."""
+    start = {name: at for at, name in stored_offsets(path).items()}[entry]
+    at = data_offsets(path)[entry]
+    raw = Path(path).read_bytes()
+    header = edit(raw[start:at])
+    assert len(header) == at - start
+    Path(path).write_bytes(raw[:start] + header + raw[at:])
+
+
+def write_version_2(path):
+    """Rewrite every entry of the archive at ``path`` with a version 2.0 header."""
+    payload = read_archive(path)
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in payload.items():
+            with zf.open(name + ".npy", "w") as fh:
+                np.lib.format.write_array(fh, array, version=(2, 0), allow_pickle=False)
+
+
+def write_object_array(path):
+    payload = read_archive(path)
+    payload["param/embedding"] = np.array([1, "a"], dtype=object)
+    np.savez(path, **payload)
+
+
+@pytest.mark.parametrize("entry, corrupt", [
+    ("meta", write_version_2),
+    ("meta", lambda path: rewrite_header(
+        path, "meta", lambda h: h[:-2] + b"\t\n")),
+    ("param/embedding", lambda path: rewrite_header(
+        path, "param/embedding", lambda h: h.replace(b"'<f4'", b"'<f3'"))),
+    ("param/embedding", write_object_array),
+    ("param/embedding", lambda path: rewrite_header(
+        path, "param/embedding",
+        lambda h: h[:8] + (int.from_bytes(h[8:10], "little") - 16).to_bytes(2, "little") + h[10:])),
+], ids=["version_2_0", "tab_in_padding", "f3_descr", "object_array", "header_cut_short"])
+def test_header_out_of_form_is_usage_error(tmp_path, capsys, entry, corrupt):
+    model, vocab, lexicon, names = build(seed=26)
+    path = save_checkpoint(str(tmp_path / "m.npz"), model, vocab, lexicon, names)
+    corrupt(path)
+    with pytest.raises(UsageError, match=f"not a checkpoint: {entry}.npy: unreadable .npy header"):
         load_checkpoint(path)
     assert _predict_code(path, capsys) == 2
 

@@ -2,6 +2,7 @@
 pipeline, sweep commands, exit codes, and rerun reproducibility.
 """
 
+import argparse
 import csv
 import io
 import shutil
@@ -393,6 +394,28 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    argv = ["eval", str(tmp_path / "no.npz"), str(tmp_path / "no.csv")]
+    assert main(argv) == 1
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 1 and main(argv) == 1
+    assert built == []
+
+
+def test_main_runs_the_command_replaced_after_import(monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "cmd_predict", lambda args: ran.append(args) or 7)
+    assert main(["predict", "x.npz", "--task", "sentiment"]) == 7
+    assert [(a.command, a.checkpoint, a.task) for a in ran] == [("predict", "x.npz", "sentiment")]
 
 
 def test_module_entry_point_help():
