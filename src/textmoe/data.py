@@ -314,18 +314,18 @@ class SynthData:
 
 
 def synth_generate(seed: int, n_per_task: int, vocab_size: int, signal: float,
-                   n_test_per_task: int = 0, min_len: int = 4, max_len: int = 12,
-                   planted_fraction: float = 0.1) -> SynthData:
-    """Generate two correlated binary-label tasks.
+                   n_test_per_task: int = 0) -> SynthData:
+    """Generate two correlated binary-label tasks of 4 to 12 token posts.
 
-    A planted set of "negative" tokens (returned as the lexicon) drives
-    label 1 in both tasks: P(label=1 | planted present) averages `signal`,
-    P(label=1 | absent) = 1 - signal. Every 5th planted token is
-    "ambiguous" with P(label=1) = max(0, 1 - 4*(1 - signal)); the rest are
-    strong, solved so the pooled probability stays exactly `signal` (and
-    signal=1.0 stays an exact presence rule). The marker bit alone
-    therefore under-determines the label, and token identity, learnable
-    from either task, carries real extra information.
+    A planted set of "negative" tokens (a tenth of the vocabulary, at least
+    2, returned as the lexicon) drives label 1 in both tasks:
+    P(label=1 | planted present) averages `signal`, P(label=1 | absent) =
+    1 - signal. Every 5th planted token is "ambiguous" with P(label=1) =
+    max(0, 1 - 4*(1 - signal)); the rest are strong, solved so the pooled
+    probability stays exactly `signal` (and signal=1.0 stays an exact
+    presence rule). The marker bit alone therefore under-determines the
+    label, and token identity, learnable from either task, carries real
+    extra information.
     """
     if n_per_task < 2 or vocab_size < 10:
         raise ConfigError(
@@ -337,7 +337,7 @@ def synth_generate(seed: int, n_per_task: int, vocab_size: int, signal: float,
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    n_planted = max(2, round(vocab_size * planted_fraction))
+    n_planted = max(2, round(vocab_size * 0.1))
     planted = [f"neg{i}" for i in range(n_planted)]
     fillers = [f"w{i}" for i in range(vocab_size - n_planted)]
     vocab = Vocabulary.from_tokens(planted + fillers)
@@ -352,7 +352,7 @@ def synth_generate(seed: int, n_per_task: int, vocab_size: int, signal: float,
     def draw(task_id: str, n: int) -> TaskDataset:
         examples = []
         for _ in range(n):
-            length = int(rng.integers(min_len, max_len + 1))
+            length = int(rng.integers(4, 13))
             tokens = [fillers[j] for j in rng.integers(0, len(fillers), length)]
             if rng.random() < 0.5:
                 t = int(rng.integers(0, n_planted))

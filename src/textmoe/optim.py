@@ -8,13 +8,16 @@ The L2 term is coupled, as in ``torch.optim.RMSprop(weight_decay=...)``:
 it joins the gradient before the accumulator sees it. ``fit`` passes
 ``2 * lambda_l2``, the gradient of ``lambda_l2 * sum(p * p)``, so the
 update is bitwise the one a graph ``l2_penalty`` term would give.
+``step`` also returns that term's value, so training reads parameter
+memory once per step.
 
 Each parameter is walked in blocks of ``BLOCK`` elements through two
 preallocated buffers per dtype, with ``out=`` ufuncs. A step therefore
 allocates no parameter-sized temporary, and a block's operands stay in
 cache across the passes. Every element goes through the same operations
 in the same order as the whole-array formulas above, so the result is
-bitwise the same at any block size.
+bitwise the same at any block size. The penalty's value adds up one
+``np.dot`` per block as a float64, in parameter and block order.
 """
 
 from __future__ import annotations
@@ -52,8 +55,10 @@ class RmsProp:
         self.acc = [np.zeros(p.shape, dtype=p.dtype) for p in self.params]
         self._buffers: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self) -> None:
-        """Apply one update from the gradients stored on the parameters.
+    def step(self) -> float:
+        """Apply one update from the gradients stored on the parameters and
+        return the L2 penalty whose gradient it added, ``weight_decay / 2 *
+        sum(p * p)`` before the update (0.0 without weight decay).
 
         Gradients are consumed: each parameter's .grad is reset to None.
         A missing gradient counts as zero: without weight decay the
@@ -64,14 +69,18 @@ class RmsProp:
             if p.grad is not None and p.grad.shape != p.shape:
                 raise ShapeError(f"gradient of shape {p.grad.shape} for a "
                                  f"parameter of shape {p.shape}")
+        squares = 0.0
         for p, acc in zip(self.params, self.acc):
             if p.grad is None and not self.weight_decay:
                 acc *= self.rho
                 continue
-            self._update(p.data, acc, p.grad)
+            squares += self._update(p.data, acc, p.grad)
             p.grad = None
+        return 0.5 * self.weight_decay * squares
 
-    def _update(self, data: np.ndarray, acc: np.ndarray, grad: np.ndarray | None) -> None:
+    def _update(self, data: np.ndarray, acc: np.ndarray, grad: np.ndarray | None) -> float:
+        """Update one parameter in place; return its sum of squares before
+        the update, or 0.0 without weight decay."""
         bufs = self._buffers.get(data.dtype)
         if bufs is None:
             bufs = self._buffers[data.dtype] = (np.empty(BLOCK, data.dtype),
@@ -82,11 +91,13 @@ class RmsProp:
         flat_p, flat_a = data.reshape(-1), acc.reshape(-1)
         flat_g = None if grad is None else grad.reshape(-1)
         lr, rho, eps, decay = self.lr, self.rho, self.eps, self.weight_decay
+        squares = 0.0
         for start in range(0, flat_p.size, BLOCK):
             p, a = flat_p[start:start + BLOCK], flat_a[start:start + BLOCK]
             t, u = bufs[0][:p.size], bufs[1][:p.size]
             np.multiply(a, rho, out=a)
             if decay:
+                squares += float(np.dot(p, p))
                 g = np.multiply(p, decay, out=t)
                 if flat_g is not None:
                     np.add(flat_g[start:start + BLOCK], g, out=g)
@@ -102,3 +113,4 @@ class RmsProp:
             np.subtract(p, t, out=p)
         if copied:
             data[...] = flat_p.reshape(data.shape)
+        return squares

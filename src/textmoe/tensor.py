@@ -427,37 +427,23 @@ def sum_all(x: Tensor) -> Tensor:
     return _from_op(out, (x,), backward)
 
 
-def l2_value(params: Sequence[Tensor], lam: float,
-             scratch: np.ndarray | None = None) -> np.ndarray:
-    """lam * sum over params of (p * p).sum(), as a 0-d array of the first
-    parameter's dtype.
+def l2_penalty(params: Sequence[Tensor], lam: float) -> Tensor:
+    """lam * sum over params of (p * p).sum(), as a 0-d node of the first
+    parameter's dtype; its backward adds 2 * lam * p to each parameter's
+    gradient.
 
     The squared sums are added in parameter order and scaled last, so the
-    value is bitwise that of the sum_all/mul/add/scale chain. A 1-d
-    ``scratch`` of the parameters' dtype and at least their size receives
-    each C-ordered square in turn instead of a new array; the value is the
-    same.
+    value is bitwise that of the sum_all/mul/add/scale chain. ``fit``
+    keeps the term out of the graph: ``RmsProp(weight_decay=2 * lam)``
+    applies the same gradient term inside its update and returns the value.
     """
     if not params:
         raise UsageError("the L2 term needs at least one tensor")
     total = None
     for p in params:
-        x = p.data
-        if (scratch is not None and scratch.dtype == x.dtype and scratch.size >= x.size
-                and x.flags.c_contiguous):
-            sq = np.multiply(x, x, out=scratch[:x.size].reshape(x.shape)).sum()
-        else:
-            sq = (x * x).sum()
+        sq = (p.data * p.data).sum()
         total = sq if total is None else total + sq
-    return np.asarray(total * lam, dtype=params[0].dtype)
-
-
-def l2_penalty(params: Sequence[Tensor], lam: float) -> Tensor:
-    """The graph node of ``l2_value``: its backward adds 2 * lam * p to
-    each parameter's gradient. ``fit`` instead adds the value as a
-    constant and lets ``RmsProp(weight_decay=2 * lam)`` apply the same
-    gradient term inside its update."""
-    out = l2_value(params, lam)
+    out = np.asarray(total * lam, dtype=params[0].dtype)
 
     def backward(g: np.ndarray) -> None:
         c = g * (2.0 * lam)

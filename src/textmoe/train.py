@@ -10,10 +10,11 @@ The idle task's head and gate get no gradient in a step, which the
 optimizer reads as zero.
 
 ``fit`` keeps the L2 term out of the graph: backward starts at the
-cross-entropy, the logged loss adds the penalty's value to it, and
-``RmsProp(weight_decay=2 * lambda_l2)`` adds the penalty's gradient in
-the same blocked pass as the update. The arithmetic is bitwise that of
-the ``l2_penalty`` graph node ``compute_loss`` builds.
+cross-entropy, and ``RmsProp(weight_decay=2 * lambda_l2)`` adds the
+penalty's gradient in the blocked pass of the update and returns the
+penalty's value, which the logged loss adds. The updates are bitwise
+those of the ``l2_penalty`` graph node ``compute_loss`` builds, and the
+logged value is that node's within float32 rounding: it sums in another order.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import ConfigError, TrainingDiverged, UsageError
 from .metrics import MetricsReport, evaluate, metrics  # noqa: F401
 from .optim import RmsProp
 from .tensor import (  # noqa: F401
-    Tensor, add, cross_entropy, l2_penalty, l2_value, mul, no_grad, scale, sum_all,
+    Tensor, add, cross_entropy, l2_penalty, mul, no_grad, scale, sum_all,
 )
 
 # Fixed tags give every consumer its own deterministic stream per seed.
@@ -231,7 +232,11 @@ def dataset_ce(model, ds: TaskDataset,
 
 def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
         cfg: TrainConfig, on_epoch=None) -> TrainingReport:
-    """Train in place; the model ends at its best-validation checkpoint."""
+    """Train in place; the model ends at its best-validation checkpoint.
+
+    A non-finite loss raises TrainingDiverged naming its epoch and batch:
+    a non-finite cross-entropy before backward and the update; a non-finite
+    L2 value after the optimizer step that returned it, which is applied."""
     cfg.validate()
     if depression is None or len(depression) == 0:
         raise ConfigError("fit requires a non-empty depression dataset")
@@ -242,12 +247,8 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
 
     sched_rng = rng_stream(cfg.seed, TAG_SCHEDULE)
     drop_rng = rng_stream(cfg.seed, TAG_DROPOUT)
-    params = model.parameters()
-    # L2 as in the module docstring; the scratch buffer takes each
-    # parameter's squares in turn, so the penalty's value allocates nothing.
-    opt = RmsProp(params, lr=cfg.learning_rate, weight_decay=2.0 * cfg.lambda_l2)
-    l2_scratch = (np.empty(max(p.data.size for p in params), dtype=params[0].dtype)
-                  if cfg.lambda_l2 > 0.0 else None)
+    opt = RmsProp(model.parameters(), lr=cfg.learning_rate,
+                  weight_decay=2.0 * cfg.lambda_l2)
     stopper = EarlyStopper(cfg.early_stop_patience)
     report = TrainingReport()
     best_state = model.state_arrays()
@@ -263,14 +264,14 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
             labels = np.array([ex.label for ex in batch])
             logits = model.forward(batch, task_id, training=True, rng=drop_rng)
             loss = compute_loss(logits, labels)
-            value = ((loss.data + l2_value(params, cfg.lambda_l2, l2_scratch)).item()
-                     if cfg.lambda_l2 > 0.0 else loss.item())
+            value = loss.item()
+            if math.isfinite(value):
+                loss.backward()
+                value += opt.step()
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {b} ({task_id})"
                 )
-            loss.backward()
-            opt.step()
             sums[task_id] += value
             counts[task_id] += 1
 

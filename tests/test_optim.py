@@ -29,6 +29,21 @@ def reference_step(params, accs, lr, rho=0.9, eps=1e-8, weight_decay=0.0):
         p.grad = None
 
 
+def sum_of_squares(params):
+    """Float64 sum of squares over the parameters' values."""
+    return sum(float(np.square(p.data, dtype=np.float64).sum()) for p in params)
+
+
+def assert_penalty(got, weight_decay, squares):
+    # step()'s return value: weight_decay / 2 * sum(p * p) before the update.
+    assert isinstance(got, float)
+    if weight_decay:
+        want = 0.5 * weight_decay * squares
+        assert abs(got - want) <= 1e-6 * want, (got, want)
+    else:
+        assert got == 0.0
+
+
 def _param(values):
     return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
 
@@ -183,7 +198,8 @@ def test_blocked_pass_is_bitwise_the_whole_array_update(dtype, weight_decay):
             g = rng.normal(size=a.shape).astype(dtype)
             g.reshape(-1)[1::4] = -0.0
             a.grad, b.grad = g, g.copy()
-        opt.step()
+        squares = sum_of_squares(ours)
+        assert_penalty(opt.step(), weight_decay, squares)
         reference_step(refs, ref_acc, 1e-2, weight_decay=weight_decay)
         for a, b, acc, want in zip(ours, refs, opt.acc, ref_acc):
             assert a.grad is None
@@ -194,15 +210,16 @@ def test_blocked_pass_is_bitwise_the_whole_array_update(dtype, weight_decay):
 
 def test_non_contiguous_parameter_and_gradient_are_updated_in_place():
     rng = np.random.default_rng(12)
-    x = np.asfortranarray(rng.normal(size=(70, 900)).astype(np.float32))
-    g = rng.normal(size=(900, 70)).astype(np.float32).T  # a transposed view
-    p, ref = Tensor(x, requires_grad=True), Tensor(x.copy(), requires_grad=True)
-    opt = RmsProp([p], lr=1e-2, weight_decay=2e-4)
-    p.grad, ref.grad = g, g.copy()
-    opt.step()
-    reference_step([ref], [np.zeros_like(x)], 1e-2, weight_decay=2e-4)
-    assert p.data is x
-    assert x.tobytes() == ref.data.tobytes()
+    for weight_decay in (2e-4, 0.0):
+        x = np.asfortranarray(rng.normal(size=(70, 900)).astype(np.float32))
+        g = rng.normal(size=(900, 70)).astype(np.float32).T  # a transposed view
+        p, ref = Tensor(x, requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        opt = RmsProp([p], lr=1e-2, weight_decay=weight_decay)
+        p.grad, ref.grad = g, g.copy()
+        assert_penalty(opt.step(), weight_decay, sum_of_squares([ref]))
+        reference_step([ref], [np.zeros_like(x)], 1e-2, weight_decay=weight_decay)
+        assert p.data is x
+        assert x.tobytes() == ref.data.tobytes()
 
 
 def test_step_allocates_no_parameter_sized_array():

@@ -26,9 +26,9 @@ from textmoe import (
 )
 from textmoe.data import DEPRESSION, SENTIMENT, EmbeddingTable, Vocabulary
 from textmoe.metrics import evaluate
-from textmoe.optim import RmsProp
+from textmoe.optim import BLOCK, RmsProp
 from textmoe import train as train_module
-from textmoe.tensor import cross_entropy, l2_value
+from textmoe.tensor import cross_entropy
 from textmoe.train import (
     TAG_SPLIT,
     EpochRecord,
@@ -444,12 +444,28 @@ def test_paper_shape_step_peak_memory():
     assert peak < 61 * 2**20, peak
 
 
+def blocked_l2_value(params, lam):
+    """lam * sum(p * p) summed as RmsProp.step sums it: each BLOCK of a
+    parameter's values gives one dot product, added as a float64 in
+    parameter and block order."""
+    total = 0.0
+    for p in params:
+        flat = p.data.reshape(-1)
+        for start in range(0, flat.size, BLOCK):
+            block = flat[start:start + BLOCK]
+            total += float(np.dot(block, block))
+    return lam * total
+
+
 @pytest.mark.parametrize("dims", [ACCEPT_DIMS, PAPER_DIMS], ids=["accept", "paper"])
 def test_l2_in_the_optimizer_is_bitwise_the_graph_term(dims):
-    # fit's step (backward from the cross-entropy, the penalty's value added
-    # to the logged loss, its gradient inside RmsProp) against the graph l2_penalty term plus the whole-array
-    # update, over steps that alternate the tasks, so the idle head gets
-    # only the L2 gradient. PAPER_DIMS train with dropout 0.1.
+    # fit's step (backward from the cross-entropy, the penalty's gradient
+    # and value from RmsProp) against the graph l2_penalty term plus the
+    # whole-array update, over steps that alternate the tasks, so the idle
+    # head gets only the L2 gradient. Updates are bitwise; the logged value
+    # sums the squares in block order, so it is bitwise the blocked
+    # reference and within float32 rounding of the graph term. PAPER_DIMS
+    # train with dropout 0.1.
     lam = 1e-4
     cfg = ModelConfig(vocab_size=10, **dims)
     vocab = Vocabulary.from_tokens(f"t{i}" for i in range(8))
@@ -462,7 +478,6 @@ def test_l2_in_the_optimizer_is_bitwise_the_graph_term(dims):
     params, ref_params = ours.parameters(), ref.parameters()
     opt = RmsProp(params, lr=1e-3, weight_decay=2.0 * lam)
     ref_acc = [np.zeros_like(p.data) for p in ref_params]
-    scratch = np.empty(max(p.data.size for p in params), dtype=np.float32)
     data_rng = np.random.default_rng(6)
     drop_ours, drop_ref = np.random.default_rng(7), np.random.default_rng(7)
     for step in range(3):
@@ -473,14 +488,16 @@ def test_l2_in_the_optimizer_is_bitwise_the_graph_term(dims):
         labels = data_rng.integers(0, 2, size=len(batch))
 
         loss = compute_loss(ours.forward(batch, task, training=True, rng=drop_ours), labels)
-        value = loss.data + l2_value(params, lam, scratch)
         ref_loss = compute_loss(ref.forward(batch, task, training=True, rng=drop_ref),
                                 labels, ref_params, lam)
-        assert value.tobytes() == ref_loss.data.tobytes(), step
+        ce, graph_value = loss.item(), ref_loss.item()
+        want = ce + blocked_l2_value(params, lam)
         loss.backward()
         ref_loss.backward()
-        opt.step()
+        value = ce + opt.step()
         reference_step(ref_params, ref_acc, 1e-3)
+        assert value == want, step
+        assert abs(value - graph_value) <= 1e-6 * graph_value, (step, value, graph_value)
         for i, (a, b) in enumerate(zip(params, ref_params)):
             assert a.data.tobytes() == b.data.tobytes(), (step, i)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(opt.acc, ref_acc))
@@ -522,6 +539,43 @@ def test_fit_flags_divergence():
         fit(model, None, make_dataset(DEPRESSION, 64, seed=22),
             train_config(ratio=(0, 1), max_epochs=3, batch_size=8,
                          learning_rate=1e30))
+
+
+def test_fit_flags_a_nan_cross_entropy_before_its_step(monkeypatch):
+    # With the L2 term on, batch 1's cross-entropy is NaN: fit names that
+    # batch before its backward, so only batch 0's update was applied.
+    losses, steps = [], []
+    step = RmsProp.step
+
+    def nan_at_batch_1(logits, labels):
+        out = cross_entropy(logits, labels)
+        if len(losses) == 1:
+            out.data[...] = np.nan
+        losses.append(out)
+        return out
+
+    def counting_step(self):
+        steps.append(self)
+        return step(self)
+
+    monkeypatch.setattr(train_module, "cross_entropy", nan_at_batch_1)
+    monkeypatch.setattr(RmsProp, "step", counting_step)
+    with pytest.raises(TrainingDiverged, match=r"epoch 1, batch 1 \("):
+        fit(small_model(seed=14), None, make_dataset(DEPRESSION, 32, seed=27),
+            train_config(ratio=(0, 1), max_epochs=1, lambda_l2=1e-4))
+    assert len(steps) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_fit_flags_an_overflowing_l2_value():
+    # Under ratio 0:1 the sentiment head is idle, so the cross-entropy stays
+    # finite while the squares of its 1e20 weights overflow the L2 value.
+    model = small_model(seed=15)
+    w, _ = model.heads[model.task_index(SENTIMENT)]
+    w.data[...] = 1e20
+    with pytest.raises(TrainingDiverged, match=r"epoch 1, batch 0 \("):
+        fit(model, None, make_dataset(DEPRESSION, 32, seed=28),
+            train_config(ratio=(0, 1), max_epochs=1, lambda_l2=1e-4))
 
 
 def test_epoch_record_log_line_round_trip():
