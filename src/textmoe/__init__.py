@@ -48,7 +48,7 @@ from .lexicon import (
     load_plain_lexicon,
     mark_tokens,
 )
-from .metrics import ConfusionMatrix, MetricsReport, evaluate, metrics
+from .metrics import MetricsReport, evaluate, metrics
 from .model import (
     ExpertUnit,
     ModelConfig,

@@ -262,8 +262,7 @@ def _build(path: str, text: str, arrays: dict[str, np.ndarray]) -> Checkpoint:
         raw["classes_per_task"] = tuple(raw["classes_per_task"])
         cfg = ModelConfig(**raw)
         tokens = list(meta["vocab"])
-        lexicon = Lexicon(frozenset(meta["lexicon"]),
-                          language=meta["lexicon_language"], source=path)
+        lexicon = Lexicon(frozenset(meta["lexicon"]), language=meta["lexicon_language"])
         label_names = {k: list(v) for k, v in meta["label_names"].items()}
         schema = {k: meta[k] for k in ("language", "text_column", "label_column")}
         if version == 1:

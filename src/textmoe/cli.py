@@ -48,13 +48,12 @@ from .data import (  # noqa: F401
 from .errors import ConfigError, Error, UsageError
 from .lexicon import DEFAULT_MARKER_EMOTIONS, load_nrc_lexicon, load_plain_lexicon
 from .metrics import evaluate, metrics_table, report_record
-from .model import ModelConfig
+from .model import EVAL_BATCH_SIZE, ModelConfig
 from .tensor import Tensor, softmax
 from .train import TrainConfig, fit
 
 CONFIG_EXIT = 2
 ERROR_EXIT = 1
-PREDICT_CHUNK_LINES = 256  # as evaluate's default batch size
 
 
 def _load_lexicon(cfg: RunConfig):
@@ -166,7 +165,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     lines = (line.rstrip("\n") for line in sys.stdin)
     # Chunks bound memory by the chunk, not by the input; infer groups each
     # chunk's lines into length buckets and records no graph.
-    while chunk := list(itertools.islice(lines, PREDICT_CHUNK_LINES)):
+    while chunk := list(itertools.islice(lines, EVAL_BATCH_SIZE)):
         batch = [encode_text(line, ckpt.vocab, ckpt.lexicon, ckpt.language,
                              ckpt.model.cfg.max_seq_len) for line in chunk]
         logits = Tensor(ckpt.model.infer(batch, args.task))

@@ -3,8 +3,10 @@ and [output] sections of `key = value` pairs. Relative paths resolve
 against the config file's directory. Unknown keys are errors.
 
 The [model] and [train] keys are the fields of ModelConfig and TrainConfig,
-with the same names and defaults, less the fields that the data or the
-ablations decide (vocab_size, classes_per_task, use_gate).
+and the [data] keys RunConfig's own fields, with the same names and
+defaults, less the fields that the data or the ablations decide
+(vocab_size, classes_per_task, use_gate). Two [data] keys are shorter
+than their fields: lexicon (lexicon_path) and embeddings (embeddings_path).
 """
 
 from __future__ import annotations
@@ -118,15 +120,26 @@ class RunConfig:
         self.train.validate()
 
 
-# Fields that the data (vocab_size, classes_per_task) or the ablations
-# (use_gate) decide; they are not INI keys.
-_NOT_KEYS = ("vocab_size", "classes_per_task", "use_gate")
+# Fields that are not INI keys: those the data (vocab_size,
+# classes_per_task) or the ablations (use_gate) decide, and RunConfig's
+# sections other than [data].
+_NOT_KEYS = ("vocab_size", "classes_per_task", "use_gate", "model", "train", "output_dir")
+# [data] keys spelled other than their attribute.
+_RENAMED = {"lexicon_path": "lexicon", "embeddings_path": "embeddings"}
+# Attribute -> (parser, formatter) for the values that neither parse as the
+# type of their field's default nor print as str() gives them.
+_CODECS = {
+    "ratio": (parse_ratio, lambda r: f"{r[0]}:{r[1]}"),
+    "labels": (parse_labels, lambda labels: ",".join(f"{name}:{idx}" for name, idx in labels)),
+    "nrc_emotions": (lambda s: tuple(e.strip() for e in s.split(",") if e.strip()), ",".join),
+}
 
 
 def _field_keys(cls) -> dict:
     """INI key -> (attribute, parser) for each field of a settings
-    dataclass; a value parses as the type of the field's default."""
-    return {f.name: (f.name, parse_ratio if f.name == "ratio" else type(f.default))
+    dataclass, in field order."""
+    return {_RENAMED.get(f.name, f.name):
+            (f.name, _CODECS[f.name][0] if f.name in _CODECS else type(f.default))
             for f in fields(cls) if f.name not in _NOT_KEYS}
 
 
@@ -135,28 +148,8 @@ def _field_keys(cls) -> dict:
 _SECTIONS = {
     "model": _field_keys(ModelConfig),
     "train": _field_keys(TrainConfig),
-    "data": {
-        "sentiment_csv": ("sentiment_csv", str),
-        "depression_csv": ("depression_csv", str),
-        "depression_test_csv": ("depression_test_csv", str),
-        "lexicon": ("lexicon_path", str),
-        "lexicon_format": ("lexicon_format", str),
-        "nrc_emotions": ("nrc_emotions",
-                         lambda s: tuple(e.strip() for e in s.split(",") if e.strip())),
-        "embeddings": ("embeddings_path", str),
-        "language": ("language", str),
-        "text_column": ("text_column", str),
-        "label_column": ("label_column", str),
-        "labels": ("labels", parse_labels),
-        "min_count": ("min_count", int),
-    },
+    "data": _field_keys(RunConfig),
     "output": {"dir": ("output_dir", str)},
-}
-# How write_run_config spells the values that str() would not.
-_FORMATS = {
-    "ratio": lambda r: f"{r[0]}:{r[1]}",
-    "nrc_emotions": ",".join,
-    "labels": lambda labels: ",".join(f"{name}:{idx}" for name, idx in labels),
 }
 _PATH_ATTRS = ("sentiment_csv", "depression_csv", "depression_test_csv",
                "lexicon_path", "embeddings_path")
@@ -204,8 +197,9 @@ def write_run_config(cfg: RunConfig, path: str) -> None:
     parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SECTIONS.items():
         holder = _holder(cfg, section)
-        parser[section] = {key: _FORMATS.get(attr, str)(getattr(holder, attr))
-                           for key, (attr, _) in keys.items()}
+        parser[section] = {
+            key: (_CODECS[attr][1] if attr in _CODECS else str)(getattr(holder, attr))
+            for key, (attr, _) in keys.items()}
     with atomic_open(path, encoding="utf-8") as fh:
         parser.write(fh)
 

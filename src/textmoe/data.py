@@ -341,7 +341,7 @@ def synth_generate(seed: int, n_per_task: int, vocab_size: int, signal: float,
     planted = [f"neg{i}" for i in range(n_planted)]
     fillers = [f"w{i}" for i in range(vocab_size - n_planted)]
     vocab = Vocabulary.from_tokens(planted + fillers)
-    lexicon = Lexicon(frozenset(planted), language="english", source="synthetic")
+    lexicon = Lexicon(frozenset(planted), language="english")
 
     ambiguous = np.array([i % 5 == 4 for i in range(n_planted)])
     w = ambiguous.mean()
@@ -397,9 +397,9 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
             os.remove(tmp)
 
 
-def write_csv(path: str, rows: list[tuple[str, str]],
-              text_column: str = "text", label_column: str = "label") -> None:
+def write_csv(path: str, rows: list[tuple[str, str]]) -> None:
+    """A UTF-8 CSV of (text, label) rows under the header ``text,label``."""
     with atomic_open(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([text_column, label_column])
+        writer.writerow(["text", "label"])
         writer.writerows(rows)

@@ -30,7 +30,6 @@ DEFAULT_MARKER_EMOTIONS = frozenset({"sadness", "fear", "disgust", "anger", "neg
 class Lexicon:
     terms: frozenset[str]
     language: str = "english"
-    source: str = ""
 
     def __contains__(self, term: str) -> bool:
         return term in self.terms
@@ -57,7 +56,7 @@ def load_nrc_lexicon(path: str, selected_emotions: Iterable[str] = DEFAULT_MARKE
                 raise ParseError(f"{path}:{lineno}: flag must be 0 or 1, got {flag!r}")
             if flag == "1" and emotion in selected:
                 terms.add(word.lower() if language == "english" else word)
-    return Lexicon(frozenset(terms), language=language, source=path)
+    return Lexicon(frozenset(terms), language=language)
 
 
 def load_plain_lexicon(path: str, language: str = "english") -> Lexicon:
@@ -69,7 +68,7 @@ def load_plain_lexicon(path: str, language: str = "english") -> Lexicon:
             if not term or term.startswith("#"):
                 continue
             terms.add(term.lower() if language == "english" else term)
-    return Lexicon(frozenset(terms), language=language, source=path)
+    return Lexicon(frozenset(terms), language=language)
 
 
 def mark_tokens(lexicon: Lexicon, tokens: list[str]) -> list[int]:

@@ -13,29 +13,21 @@ import numpy as np
 
 from .data import TaskDataset
 from .errors import UsageError
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    counts: tuple[tuple[int, ...], ...]  # rows = true class, cols = predicted
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
+from .model import EVAL_BATCH_SIZE
 
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """One split's scores: per-class tuples are in class order, and
+    ``confusion[i][j]`` counts the examples of true class i predicted as
+    class j."""
+
     accuracy: float
     macro_f1: float
     precision: tuple[float, ...]
     recall: tuple[float, ...]
     f1: tuple[float, ...]
-    confusion: ConfusionMatrix
+    confusion: tuple[tuple[int, ...], ...]
     task_id: str = ""
     examples: int = 0
 
@@ -70,14 +62,14 @@ def metrics(preds, labels, num_classes: int, task_id: str = "") -> MetricsReport
         precision=tuple(precision),
         recall=tuple(recall),
         f1=tuple(f1),
-        confusion=ConfusionMatrix(tuple(tuple(int(v) for v in row) for row in cm)),
+        confusion=tuple(tuple(int(v) for v in row) for row in cm),
         task_id=task_id,
         examples=len(labels),
     )
 
 
 def evaluate(model, dataset: TaskDataset, task_id: str,
-             batch_size: int = 256) -> MetricsReport:
+             batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
     """Predict over the whole dataset, grouped into length buckets of at
     most ``batch_size`` examples, and score against its labels."""
     if len(dataset) == 0:
@@ -101,7 +93,7 @@ def report_record(report: MetricsReport) -> str:
         lines.append(f"precision_{c}={report.precision[c]!r}")
         lines.append(f"recall_{c}={report.recall[c]!r}")
         lines.append(f"f1_{c}={report.f1[c]!r}")
-    for i, row in enumerate(report.confusion.counts):
+    for i, row in enumerate(report.confusion):
         for j, v in enumerate(row):
             lines.append(f"confusion_{i}_{j}={v}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,10 @@
 """RMSprop with per-parameter accumulators and an optional coupled L2 term.
 
 g   <- g + weight_decay * p          (only when weight_decay > 0)
-acc <- rho * acc + (1 - rho) * g^2
-p   <- p - lr * g / (sqrt(acc) + eps)
+acc <- RHO * acc + (1 - RHO) * g^2
+p   <- p - lr * g / (sqrt(acc) + EPS)
+
+``RHO = 0.9`` and ``EPS = 1e-8`` are module constants.
 
 The L2 term is coupled, as in ``torch.optim.RMSprop(weight_decay=...)``:
 it joins the gradient before the accumulator sees it. ``fit`` passes
@@ -18,6 +20,10 @@ cache across the passes. Every element goes through the same operations
 in the same order as the whole-array formulas above, so the result is
 bitwise the same at any block size. The penalty's value adds up one
 ``np.dot`` per block as a float64, in parameter and block order.
+
+A step that overflows is still applied to every parameter: its inf and NaN
+values are the caller's to report (``fit`` raises TrainingDiverged), not
+a warning raised from the middle of the pass.
 """
 
 from __future__ import annotations
@@ -33,23 +39,19 @@ from .tensor import Tensor
 # Elements per block: 128 KB of float32, so the four block operands fit
 # in a core's L2 cache.
 BLOCK = 1 << 15
+RHO = 0.9  # accumulator decay
+EPS = 1e-8  # added to the root of the accumulator
 
 
 class RmsProp:
     def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 rho: float = 0.9, eps: float = 1e-8, weight_decay: float = 0.0):
+                 weight_decay: float = 0.0):
         if not 0 < lr < math.inf:
             raise ConfigError(f"learning rate must be positive and finite, got {lr}")
-        if not 0.0 < rho < 1.0:
-            raise ConfigError(f"rho must be in (0, 1), got {rho}")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
         if not 0 <= weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
-        self.rho = rho
-        self.eps = eps
         self.weight_decay = weight_decay
         # C order, so every accumulator block is a view.
         self.acc = [np.zeros(p.shape, dtype=p.dtype) for p in self.params]
@@ -70,12 +72,13 @@ class RmsProp:
                 raise ShapeError(f"gradient of shape {p.grad.shape} for a "
                                  f"parameter of shape {p.shape}")
         squares = 0.0
-        for p, acc in zip(self.params, self.acc):
-            if p.grad is None and not self.weight_decay:
-                acc *= self.rho
-                continue
-            squares += self._update(p.data, acc, p.grad)
-            p.grad = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, acc in zip(self.params, self.acc):
+                if p.grad is None and not self.weight_decay:
+                    acc *= RHO
+                    continue
+                squares += self._update(p.data, acc, p.grad)
+                p.grad = None
         return 0.5 * self.weight_decay * squares
 
     def _update(self, data: np.ndarray, acc: np.ndarray, grad: np.ndarray | None) -> float:
@@ -90,12 +93,12 @@ class RmsProp:
         copied = not data.flags.c_contiguous
         flat_p, flat_a = data.reshape(-1), acc.reshape(-1)
         flat_g = None if grad is None else grad.reshape(-1)
-        lr, rho, eps, decay = self.lr, self.rho, self.eps, self.weight_decay
+        lr, decay = self.lr, self.weight_decay
         squares = 0.0
         for start in range(0, flat_p.size, BLOCK):
             p, a = flat_p[start:start + BLOCK], flat_a[start:start + BLOCK]
             t, u = bufs[0][:p.size], bufs[1][:p.size]
-            np.multiply(a, rho, out=a)
+            np.multiply(a, RHO, out=a)
             if decay:
                 squares += float(np.dot(p, p))
                 g = np.multiply(p, decay, out=t)
@@ -103,11 +106,11 @@ class RmsProp:
                     np.add(flat_g[start:start + BLOCK], g, out=g)
             else:
                 g = flat_g[start:start + BLOCK]
-            np.multiply(g, 1.0 - rho, out=u)
+            np.multiply(g, 1.0 - RHO, out=u)
             np.multiply(u, g, out=u)
             np.add(a, u, out=a)
             np.sqrt(a, out=u)
-            np.add(u, eps, out=u)
+            np.add(u, EPS, out=u)
             np.multiply(g, lr, out=t)
             np.divide(t, u, out=t)
             np.subtract(p, t, out=p)

@@ -29,6 +29,7 @@ from .errors import ConfigError, TrainingDiverged, UsageError
 # evaluate, mul, scale and sum_all are unused here, but perfbench/spans.py
 # wraps each by its name in this module, so they stay.
 from .metrics import MetricsReport, evaluate, metrics  # noqa: F401
+from .model import EVAL_BATCH_SIZE
 from .optim import RmsProp
 from .tensor import (  # noqa: F401
     Tensor, add, cross_entropy, l2_penalty, mul, no_grad, scale, sum_all,
@@ -80,21 +81,15 @@ class TrainConfig:
             )
 
 
-@dataclass
-class BatchSchedule:
-    batches: list[tuple[str, np.ndarray]]  # (task_id, example indices)
-
-    def count(self, task_id: str) -> int:
-        return sum(1 for t, _ in self.batches if t == task_id)
-
-
 def _chunks(indices: np.ndarray, size: int) -> list[np.ndarray]:
     return [indices[i:i + size] for i in range(0, len(indices), size)]
 
 
 def schedule_epoch(sentiment: TaskDataset | None, depression: TaskDataset | None,
-                   cfg: TrainConfig, rng: np.random.Generator) -> BatchSchedule:
-    """One epoch of single-task batches realizing cfg.ratio.
+                   cfg: TrainConfig, rng: np.random.Generator,
+                   ) -> list[tuple[str, np.ndarray]]:
+    """One epoch of single-task batches realizing cfg.ratio, as a shuffled
+    list of (task_id, example indices) pairs.
 
     The depression side anchors the epoch (every example once); sentiment
     contributes round(depression_batches * ratio) batches, reshuffling and
@@ -106,14 +101,13 @@ def schedule_epoch(sentiment: TaskDataset | None, depression: TaskDataset | None
         if r > 0 and (ds is None or len(ds) == 0):
             raise ConfigError(f"ratio requires {task_id} data but its dataset is empty")
 
-    batches: list[tuple[str, np.ndarray]] = []
     if r_d > 0:
         dep_batches = _chunks(rng.permutation(len(depression)), cfg.batch_size)
         n_sent = max(1, round(len(dep_batches) * r_s / r_d)) if r_s > 0 else 0
     else:
         dep_batches = []
         n_sent = math.ceil(len(sentiment) / cfg.batch_size)
-    batches += [(DEPRESSION, idx) for idx in dep_batches]
+    batches = [(DEPRESSION, idx) for idx in dep_batches]
 
     pool: list[np.ndarray] = []
     for _ in range(n_sent):
@@ -122,7 +116,7 @@ def schedule_epoch(sentiment: TaskDataset | None, depression: TaskDataset | None
         batches.append((SENTIMENT, pool.pop(0)))
 
     order = rng.permutation(len(batches))
-    return BatchSchedule([batches[i] for i in order])
+    return [batches[i] for i in order]
 
 
 def compute_loss(logits: Tensor, labels: np.ndarray, params=(),
@@ -209,7 +203,7 @@ def stratified_split(ds: TaskDataset, fraction: float,
 
 
 def dataset_ce(model, ds: TaskDataset,
-               batch_size: int = 256) -> tuple[float, MetricsReport]:
+               batch_size: int = EVAL_BATCH_SIZE) -> tuple[float, MetricsReport]:
     """Mean eval-mode cross-entropy over a dataset (no L2 term) and the
     metrics of its argmax predictions, from one forward per batch."""
     if len(ds) == 0:
@@ -258,7 +252,7 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
         sums = {SENTIMENT: 0.0, DEPRESSION: 0.0}
         counts = {SENTIMENT: 0, DEPRESSION: 0}
         schedule = schedule_epoch(sentiment, dep_train, cfg, sched_rng)
-        for b, (task_id, idx) in enumerate(schedule.batches):
+        for b, (task_id, idx) in enumerate(schedule):
             ds = datasets[task_id]
             batch = [ds.examples[i] for i in idx]
             labels = np.array([ex.label for ex in batch])

@@ -15,8 +15,9 @@ import pytest
 from textmoe import ablation, cli, data
 from textmoe.checkpoint import load_checkpoint
 from textmoe.config import RunConfig, load_run_config
-from textmoe.cli import PREDICT_CHUNK_LINES, main
+from textmoe.cli import main
 from textmoe.metrics import parse_record
+from textmoe.model import EVAL_BATCH_SIZE
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,7 @@ def test_predict_chunks_match_one_line_calls(workspace, capsys, monkeypatch):
     words = load_checkpoint(model).vocab.id_to_token[2:]
     rng = np.random.default_rng(0)
     lines = [" ".join(rng.choice(words, size=rng.integers(1, 20)))
-             for _ in range(PREDICT_CHUNK_LINES + 3)]
+             for _ in range(EVAL_BATCH_SIZE + 3)]
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
     assert main(["predict", model]) == 0
     bulk = capsys.readouterr().out.splitlines()
@@ -217,6 +218,29 @@ def test_not_a_checkpoint_exits_2(workspace, tmp_path, capsys, monkeypatch, kind
     err = capsys.readouterr().err
     assert f"error: {path}: not a checkpoint:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("kind", ["nan_head_bias", "overflowing_experts"])
+def test_non_finite_logits_exit_2(workspace, tmp_path, capsys, monkeypatch, kind, command):
+    # A NaN head bias makes NaN logits; expert weights of 3e38 overflow
+    # float32 on the way to them. Neither has an answer to print.
+    with np.load(workspace["out"] / "model.npz", allow_pickle=False) as z:
+        payload = {k: z[k] for k in z.files}
+    for name in ("head0.b", "head1.b") if kind == "nan_head_bias" else ():
+        payload[f"param/{name}"][0] = np.nan
+    for name in ("expert0.w2b", "expert1.w2b") if kind == "overflowing_experts" else ():
+        payload[f"param/{name}"][...] = 3e38
+    path = tmp_path / f"{kind}.npz"
+    np.savez(path, **payload)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("w1 w2 w3\nw4 w5\n"))
+    args = [command, str(path)]
+    if command == "eval":
+        args.append(str(workspace["data"] / "depression_test.csv"))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "examples gave non-finite logits" in captured.err
 
 
 def test_failed_ablation_write_keeps_previous_table(workspace, tmp_path, monkeypatch):

@@ -3,7 +3,8 @@
 config.ini, the training and eval CSVs, the GloVe text, both lexicon
 formats and predict's stdin. Every mutated input must either work as the
 original does or fail with an error that ``cli.main`` turns into exit code
-1 or 2; an exception that escapes ``cli.main`` fails the test.
+1 or 2; an exception that escapes ``cli.main`` fails the test. Last, one
+parameter of the checkpoint's model is set to a huge or non-finite value.
 """
 
 import contextlib
@@ -19,9 +20,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from textmoe import (  # noqa: E402
-    cli, load_checkpoint, load_glove, load_run_config, write_run_config,
+    RmsProp, UsageError, cli, load_checkpoint, load_glove, load_run_config,
+    save_checkpoint, write_run_config,
 )
-from textmoe.data import _load_glove_lines  # noqa: E402
+from textmoe.data import DEPRESSION, _load_glove_lines, encode_text  # noqa: E402
 
 # Deterministic and bounded: the same examples on every run. The text-file
 # fuzzers run a command per example, so they take fewer.
@@ -283,3 +285,30 @@ def test_predict_stdin(project, lines, junk, blank, errors):
     assert code in (0, 1, 2)
     if code == 0:  # one label and probability per input line
         assert len(out.splitlines()) == len(stdin().readlines())
+
+
+@FUZZ_TEXT
+@given(data=st.data(), value=st.sampled_from([3e38, -3e38, np.inf, -np.inf, np.nan]))
+def test_one_extreme_parameter(project, data, value):
+    # infer answers with finite logits or raises UsageError, predict exits
+    # 0 or 2, and an optimizer step reaches every parameter without raising.
+    ckpt = load_checkpoint(str(project["root"] / "run" / "model.npz"))
+    params = dict(ckpt.model.named_parameters())
+    name = data.draw(st.sampled_from(sorted(params)))
+    params[name].data[...] = value
+    batch = [encode_text(line, ckpt.vocab, ckpt.lexicon, ckpt.language,
+                         ckpt.model.cfg.max_seq_len) for line in ("w1 w2 w3", "w4")]
+    try:
+        assert np.isfinite(ckpt.model.infer(batch, DEPRESSION)).all()
+    except UsageError:
+        pass
+    path = project["root"] / "extreme.npz"
+    save_checkpoint(str(path), ckpt.model, ckpt.vocab, ckpt.lexicon, ckpt.label_names)
+    code, out = _run(["predict", str(path)], stdin="w1 w2 w3\nw4\n")
+    assert code in (0, 2)
+    assert "nan" not in out
+    opt = RmsProp(params.values(), lr=1e-3, weight_decay=2e-4)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    assert all(p.grad is None for p in params.values())

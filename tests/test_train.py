@@ -107,13 +107,17 @@ def test_train_config_validation():
 # ---------------------------------------------------------------- scheduling
 
 
+def tasks(sched):
+    return [task_id for task_id, _ in sched]
+
+
 def test_schedule_ratio_three_to_one():
     sent = make_dataset(SENTIMENT, 400, seed=1)
     dep = make_dataset(DEPRESSION, 80, seed=2)
     cfg = train_config(batch_size=8, ratio=(3, 1))
     sched = schedule_epoch(sent, dep, cfg, rng_stream(0, 3))
-    assert sched.count(DEPRESSION) == 10
-    assert sched.count(SENTIMENT) == 30
+    assert tasks(sched).count(DEPRESSION) == 10
+    assert tasks(sched).count(SENTIMENT) == 30
 
 
 def test_schedule_covers_every_target_example_once():
@@ -121,25 +125,25 @@ def test_schedule_covers_every_target_example_once():
     cfg = train_config(batch_size=8, ratio=(1, 1))
     sched = schedule_epoch(make_dataset(SENTIMENT, 64, seed=4), dep, cfg,
                            rng_stream(1, 3))
-    seen = np.concatenate([idx for t, idx in sched.batches if t == DEPRESSION])
+    seen = np.concatenate([idx for t, idx in sched if t == DEPRESSION])
     assert sorted(seen.tolist()) == list(range(37))
-    assert all(len(idx) <= 8 for _, idx in sched.batches)
+    assert all(len(idx) <= 8 for _, idx in sched)
 
 
 def test_schedule_zero_sentiment_ratio():
     dep = make_dataset(DEPRESSION, 20, seed=5)
     sched = schedule_epoch(None, dep, train_config(ratio=(0, 1)),
                            rng_stream(2, 3))
-    assert sched.count(SENTIMENT) == 0
-    assert sched.count(DEPRESSION) == 3
+    assert tasks(sched).count(SENTIMENT) == 0
+    assert tasks(sched).count(DEPRESSION) == 3
 
 
 def test_schedule_sentiment_anchors_when_dep_ratio_zero():
     sent = make_dataset(SENTIMENT, 20, seed=6)
     sched = schedule_epoch(sent, None, train_config(batch_size=8, ratio=(1, 0)),
                            rng_stream(3, 3))
-    assert sched.count(SENTIMENT) == 3
-    assert sched.count(DEPRESSION) == 0
+    assert tasks(sched).count(SENTIMENT) == 3
+    assert tasks(sched).count(DEPRESSION) == 0
 
 
 def test_schedule_cycles_small_sentiment_pool():
@@ -148,8 +152,8 @@ def test_schedule_cycles_small_sentiment_pool():
     dep = make_dataset(DEPRESSION, 32, seed=8)
     cfg = train_config(batch_size=8, ratio=(1, 1))
     sched = schedule_epoch(sent, dep, cfg, rng_stream(4, 3))
-    assert sched.count(SENTIMENT) == 4
-    seen = np.concatenate([idx for t, idx in sched.batches if t == SENTIMENT])
+    assert tasks(sched).count(SENTIMENT) == 4
+    seen = np.concatenate([idx for t, idx in sched if t == SENTIMENT])
     assert sorted(set(seen.tolist())) == list(range(8))
 
 
@@ -167,7 +171,7 @@ def test_schedule_minimum_one_sentiment_batch():
     dep = make_dataset(DEPRESSION, 8, seed=11)
     cfg = train_config(batch_size=8, ratio=(1, 3))
     sched = schedule_epoch(sent, dep, cfg, rng_stream(6, 3))
-    assert sched.count(SENTIMENT) == 1  # round(1 * 1/3) clamps up to 1
+    assert tasks(sched).count(SENTIMENT) == 1  # round(1 * 1/3) clamps up to 1
 
 
 # --------------------------------------------------------------------- loss
@@ -566,7 +570,6 @@ def test_fit_flags_a_nan_cross_entropy_before_its_step(monkeypatch):
     assert len(steps) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_fit_flags_an_overflowing_l2_value():
     # Under ratio 0:1 the sentiment head is idle, so the cross-entropy stays
     # finite while the squares of its 1e20 weights overflow the L2 value.
@@ -576,6 +579,30 @@ def test_fit_flags_an_overflowing_l2_value():
     with pytest.raises(TrainingDiverged, match=r"epoch 1, batch 0 \("):
         fit(model, None, make_dataset(DEPRESSION, 32, seed=28),
             train_config(ratio=(0, 1), max_epochs=1, lambda_l2=1e-4))
+
+
+def test_an_overflowing_step_updates_every_parameter():
+    # The step that test_fit_flags_an_overflowing_l2_value reports: the
+    # squares of the idle head overflow the L2 value, and the step still
+    # reaches all 28 parameters, bit for bit as the whole-array update
+    # under the same errstate, instead of stopping at a warning.
+    model, ref = small_model(seed=15), small_model(seed=15)
+    ds = make_dataset(DEPRESSION, 8, seed=28)
+    for m in (model, ref):
+        w, _ = m.heads[m.task_index(SENTIMENT)]
+        w.data[...] = 1e20
+        compute_loss(m.forward(ds.examples, DEPRESSION), np.array(ds.labels)).backward()
+    params, ref_params = model.parameters(), ref.parameters()
+    ref_acc = [np.zeros_like(p.data) for p in ref_params]
+    opt = RmsProp(params, lr=1e-3, weight_decay=2e-4)
+    assert opt.step() == math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference_step(ref_params, ref_acc, 1e-3, weight_decay=2e-4)
+    assert len(params) == 28
+    assert all(p.grad is None for p in params)
+    for i, (p, r) in enumerate(zip(params, ref_params)):
+        assert p.data.tobytes() == r.data.tobytes(), i
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(opt.acc, ref_acc))
 
 
 def test_epoch_record_log_line_round_trip():
