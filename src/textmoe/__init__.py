@@ -61,7 +61,6 @@ from .model import (
 from .optim import RmsProp
 from .tensor import Tensor, no_grad
 from .train import (
-    EarlyStopper,
     TrainConfig,
     TrainingReport,
     compute_loss,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .data import DEPRESSION, EmbeddingTable, TaskDataset, Vocabulary, load_glove
 from .lexicon import Lexicon
 from .metrics import MetricsReport, evaluate
@@ -45,16 +43,15 @@ class DataBundle:
         return self.depression_test if self.depression_test is not None else self.depression
 
 
-def build_model(bundle: DataBundle, model_cfg: ModelConfig, seed: int,
-                dtype=np.float32) -> MoeClassifier:
+def build_model(bundle: DataBundle, model_cfg: ModelConfig, seed: int) -> MoeClassifier:
     """Embedding plus model construction under the run seed."""
     emb_rng = rng_stream(seed, TAG_EMBEDDING)
     if bundle.embeddings_path:
         emb = load_glove(bundle.embeddings_path, bundle.vocab,
-                         model_cfg.word_dim, emb_rng, dtype)
+                         model_cfg.word_dim, emb_rng)
     else:
-        emb = EmbeddingTable.random(bundle.vocab, model_cfg.word_dim, emb_rng, dtype)
-    return MoeClassifier(model_cfg, emb, rng_stream(seed, TAG_MODEL), dtype)
+        emb = EmbeddingTable.random(bundle.vocab, model_cfg.word_dim, emb_rng)
+    return MoeClassifier(model_cfg, emb, rng_stream(seed, TAG_MODEL))
 
 
 def apply_variant(variant: AblationVariant, bundle: DataBundle,

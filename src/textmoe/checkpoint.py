@@ -97,7 +97,7 @@ def save_checkpoint(path: str, model: MoeClassifier, vocab: Vocabulary,
         "config": asdict(model.cfg),
         "vocab": list(vocab.id_to_token),
         "lexicon": sorted(lexicon.terms),
-        "lexicon_language": lexicon.language,
+        "lexicon_language": language,
         "label_names": label_names,
         "language": language,
         "text_column": text_column,
@@ -262,7 +262,7 @@ def _build(path: str, text: str, arrays: dict[str, np.ndarray]) -> Checkpoint:
         raw["classes_per_task"] = tuple(raw["classes_per_task"])
         cfg = ModelConfig(**raw)
         tokens = list(meta["vocab"])
-        lexicon = Lexicon(frozenset(meta["lexicon"]), language=meta["lexicon_language"])
+        lexicon = Lexicon(frozenset(meta["lexicon"]))
         label_names = {k: list(v) for k, v in meta["label_names"].items()}
         schema = {k: meta[k] for k in ("language", "text_column", "label_column")}
         if version == 1:

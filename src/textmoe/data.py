@@ -15,7 +15,7 @@ import csv
 import os
 import string
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -248,32 +248,27 @@ def encode_text(text: str, vocab: Vocabulary, lexicon: Lexicon,
     return vocab.encode(tokens), mark_tokens(lexicon, tokens)
 
 
-def read_csv_rows(path: str, columns: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """(line number, row) for each row of an RFC-4180 CSV with a header row.
-    A missing column, a row without one of ``columns`` and a malformed or
-    oversized field raise DataError naming the path and line."""
+def read_token_rows(path: str, text_column: str, label_column: str,
+                    language: str = "english") -> Iterator[tuple[int, list[str], str]]:
+    """(line number, every token of the text, label) for each row of an
+    RFC-4180 CSV with a header row. A missing column, a row without either
+    field and a malformed or oversized field raise DataError naming the
+    path and line."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             header = reader.fieldnames or []
-            for col in columns:
+            for col in (text_column, label_column):
                 if col not in header:
                     raise DataError(f"{path}: missing column {col!r} (header: {header})")
             for row in reader:
-                for col in columns:
+                for col in (text_column, label_column):
                     if row[col] is None:
                         raise DataError(f"{path}: row {reader.line_num}: no {col!r} field")
-                yield reader.line_num, row
+                yield reader.line_num, tokenize(row[text_column], language), row[label_column]
         except csv.Error as e:
             # DictReader copies line_num only after a row parses.
             raise DataError(f"{path}: row {reader.reader.line_num}: {e}") from e
-
-
-def read_token_rows(path: str, text_column: str, label_column: str,
-                    language: str = "english") -> Iterator[tuple[int, list[str], str]]:
-    """(line number, every token of the text, label) per read_csv_rows row."""
-    for line, row in read_csv_rows(path, (text_column, label_column)):
-        yield line, tokenize(row[text_column], language), row[label_column]
 
 
 def encode_rows(path: str, rows: Iterable[tuple[int, list[str], str]], task_id: str,
@@ -341,7 +336,7 @@ def synth_generate(seed: int, n_per_task: int, vocab_size: int, signal: float,
     planted = [f"neg{i}" for i in range(n_planted)]
     fillers = [f"w{i}" for i in range(vocab_size - n_planted)]
     vocab = Vocabulary.from_tokens(planted + fillers)
-    lexicon = Lexicon(frozenset(planted), language="english")
+    lexicon = Lexicon(frozenset(planted))
 
     ambiguous = np.array([i % 5 == 4 for i in range(n_planted)])
     w = ambiguous.mean()

@@ -4,7 +4,9 @@ Two on-disk formats are supported: the word-emotion association TSV
 (``word<TAB>emotion<TAB>flag`` per line) filtered down to a configurable
 set of negative emotions, and a plain one-term-per-line list with ``#``
 comments. Either way the result is an immutable set of terms used to mark
-tokens as in/out of the lexicon.
+tokens as in/out of the lexicon. The loaders' ``language`` only decides
+whether terms are lowercased (english); the run's language is kept by the
+run config and the checkpoint, not by the lexicon.
 """
 
 from __future__ import annotations
@@ -29,13 +31,6 @@ DEFAULT_MARKER_EMOTIONS = frozenset({"sadness", "fear", "disgust", "anger", "neg
 @dataclass(frozen=True)
 class Lexicon:
     terms: frozenset[str]
-    language: str = "english"
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 def load_nrc_lexicon(path: str, selected_emotions: Iterable[str] = DEFAULT_MARKER_EMOTIONS,
@@ -56,7 +51,7 @@ def load_nrc_lexicon(path: str, selected_emotions: Iterable[str] = DEFAULT_MARKE
                 raise ParseError(f"{path}:{lineno}: flag must be 0 or 1, got {flag!r}")
             if flag == "1" and emotion in selected:
                 terms.add(word.lower() if language == "english" else word)
-    return Lexicon(frozenset(terms), language=language)
+    return Lexicon(frozenset(terms))
 
 
 def load_plain_lexicon(path: str, language: str = "english") -> Lexicon:
@@ -68,7 +63,7 @@ def load_plain_lexicon(path: str, language: str = "english") -> Lexicon:
             if not term or term.startswith("#"):
                 continue
             terms.add(term.lower() if language == "english" else term)
-    return Lexicon(frozenset(terms), language=language)
+    return Lexicon(frozenset(terms))
 
 
 def mark_tokens(lexicon: Lexicon, tokens: list[str]) -> list[int]:

@@ -5,9 +5,10 @@ Each optimizer step sees one batch from one task. Per epoch the depression
 (target) task contributes all its batches; the sentiment task contributes
 round(ratio) as many, cycling through reshuffles of its data. One pass
 per epoch over a stratified split of the depression data gives the
-validation loss and metrics; the best checkpoint is restored at the end.
-The idle task's head and gate get no gradient in a step, which the
-optimizer reads as zero.
+validation loss and metrics. ``fit`` counts the epochs since that loss
+last improved, decays the LR and stops early on that count alone, and
+restores the best checkpoint at the end. The idle task's head and gate
+get no gradient in a step, which the optimizer reads as zero.
 
 ``fit`` keeps the L2 term out of the graph: backward starts at the
 cross-entropy, and ``RmsProp(weight_decay=2 * lambda_l2)`` adds the
@@ -129,29 +130,6 @@ def compute_loss(logits: Tensor, labels: np.ndarray, params=(),
     return loss
 
 
-class EarlyStopper:
-    """Stops once the validation loss has not improved for `patience` epochs."""
-
-    def __init__(self, patience: int):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
-        self.patience = patience
-        self.best = math.inf
-        self.epochs_since_improvement = 0
-
-    def update(self, val_loss: float) -> bool:
-        if val_loss < self.best:
-            self.best = val_loss
-            self.epochs_since_improvement = 0
-            return True
-        self.epochs_since_improvement += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.epochs_since_improvement >= self.patience
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -228,9 +206,17 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
         cfg: TrainConfig, on_epoch=None) -> TrainingReport:
     """Train in place; the model ends at its best-validation checkpoint.
 
-    A non-finite loss raises TrainingDiverged naming its epoch and batch:
-    a non-finite cross-entropy before backward and the update; a non-finite
-    L2 value after the optimizer step that returned it, which is applied."""
+    An epoch improves only on a validation loss strictly below the best so
+    far, so an equal loss or a NaN does not. The LR decays each time the
+    number of epochs since the last improvement reaches a multiple of
+    ``lr_patience``, and training stops once it reaches
+    ``early_stop_patience``.
+
+    Steps and validation run with numpy's overflow and invalid-value
+    warnings off, so a non-finite loss raises TrainingDiverged naming its
+    epoch and batch instead of a warning: a non-finite cross-entropy
+    before backward and the update; a non-finite L2 value after the
+    optimizer step that returned it, which is applied."""
     cfg.validate()
     if depression is None or len(depression) == 0:
         raise ConfigError("fit requires a non-empty depression dataset")
@@ -243,54 +229,57 @@ def fit(model, sentiment: TaskDataset | None, depression: TaskDataset,
     drop_rng = rng_stream(cfg.seed, TAG_DROPOUT)
     opt = RmsProp(model.parameters(), lr=cfg.learning_rate,
                   weight_decay=2.0 * cfg.lambda_l2)
-    stopper = EarlyStopper(cfg.early_stop_patience)
     report = TrainingReport()
     best_state = model.state_arrays()
+    stalled = 0  # epochs since the validation loss last improved
     datasets = {SENTIMENT: sentiment, DEPRESSION: dep_train}
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        sums = {SENTIMENT: 0.0, DEPRESSION: 0.0}
-        counts = {SENTIMENT: 0, DEPRESSION: 0}
-        schedule = schedule_epoch(sentiment, dep_train, cfg, sched_rng)
-        for b, (task_id, idx) in enumerate(schedule):
-            ds = datasets[task_id]
-            batch = [ds.examples[i] for i in idx]
-            labels = np.array([ex.label for ex in batch])
-            logits = model.forward(batch, task_id, training=True, rng=drop_rng)
-            loss = compute_loss(logits, labels)
-            value = loss.item()
-            if math.isfinite(value):
-                loss.backward()
-                value += opt.step()
-            if not math.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {b} ({task_id})"
-                )
-            sums[task_id] += value
-            counts[task_id] += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            sums = {SENTIMENT: 0.0, DEPRESSION: 0.0}
+            counts = {SENTIMENT: 0, DEPRESSION: 0}
+            schedule = schedule_epoch(sentiment, dep_train, cfg, sched_rng)
+            for b, (task_id, idx) in enumerate(schedule):
+                ds = datasets[task_id]
+                batch = [ds.examples[i] for i in idx]
+                labels = np.array([ex.label for ex in batch])
+                logits = model.forward(batch, task_id, training=True, rng=drop_rng)
+                loss = compute_loss(logits, labels)
+                value = loss.item()
+                if math.isfinite(value):
+                    loss.backward()
+                    value += opt.step()
+                if not math.isfinite(value):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch}, batch {b} ({task_id})"
+                    )
+                sums[task_id] += value
+                counts[task_id] += 1
 
-        val_loss, val_metrics = dataset_ce(model, dep_val, cfg.batch_size)
-        if stopper.update(val_loss):
-            best_state = model.state_arrays()
-            report.best_epoch = epoch
-        elif stopper.epochs_since_improvement % cfg.lr_patience == 0:
-            opt.lr *= cfg.lr_decay_factor
-        record = EpochRecord(
-            epoch=epoch,
-            sentiment_loss=sums[SENTIMENT] / counts[SENTIMENT] if counts[SENTIMENT] else math.nan,
-            depression_loss=sums[DEPRESSION] / counts[DEPRESSION] if counts[DEPRESSION] else math.nan,
-            val_loss=val_loss,
-            lr=opt.lr,
-            val_accuracy=val_metrics.accuracy,
-            val_macro_f1=val_metrics.macro_f1,
-        )
-        report.epochs.append(record)
-        if on_epoch is not None:
-            on_epoch(record)
-        if stopper.should_stop:
-            report.stop_reason = "early_stop"
-            break
+            val_loss, val_metrics = dataset_ce(model, dep_val, cfg.batch_size)
+            if val_loss < report.best_val_loss:
+                report.best_val_loss, report.best_epoch = val_loss, epoch
+                best_state = model.state_arrays()
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled % cfg.lr_patience == 0:
+                    opt.lr *= cfg.lr_decay_factor
+            record = EpochRecord(
+                epoch=epoch,
+                sentiment_loss=sums[SENTIMENT] / counts[SENTIMENT] if counts[SENTIMENT] else math.nan,
+                depression_loss=sums[DEPRESSION] / counts[DEPRESSION] if counts[DEPRESSION] else math.nan,
+                val_loss=val_loss,
+                lr=opt.lr,
+                val_accuracy=val_metrics.accuracy,
+                val_macro_f1=val_metrics.macro_f1,
+            )
+            report.epochs.append(record)
+            if on_epoch is not None:
+                on_epoch(record)
+            if stalled >= cfg.early_stop_patience:
+                report.stop_reason = "early_stop"
+                break
 
-    report.best_val_loss = stopper.best
     model.load_state_arrays(best_state)
     return report

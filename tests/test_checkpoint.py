@@ -35,7 +35,7 @@ def build(seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     vocab = Vocabulary.from_tokens(f"w{i}" for i in range(7))
     model = MoeClassifier(cfg, EmbeddingTable.random(vocab, 4, rng, dtype), rng, dtype=dtype)
-    lexicon = Lexicon(frozenset({"w0", "w3"}), language="english")
+    lexicon = Lexicon(frozenset({"w0", "w3"}))
     names = {SENTIMENT: ["neg", "pos"], DEPRESSION: ["control", "depressed"]}
     return model, vocab, lexicon, names
 

@@ -309,9 +309,9 @@ def test_vocabulary_csv_reads_a_byte_order_mark(tmp_path):
 def _two_pass_bundle(cfg):
     """load_bundle as it was built before the single read: one pass over the
     training CSVs to count tokens, then load_csv_dataset for each dataset."""
-    corpora = [data.tokenize(row[cfg.text_column], cfg.language)
-               for path in (cfg.sentiment_csv, cfg.depression_csv)
-               for _, row in data.read_csv_rows(path, (cfg.text_column,))]
+    corpora = [tokens for path in (cfg.sentiment_csv, cfg.depression_csv)
+               for _, tokens, _ in data.read_token_rows(path, cfg.text_column,
+                                                        cfg.label_column, cfg.language)]
     vocab = data.build_vocab(corpora, cfg.min_count)
     lexicon = cli._load_lexicon(cfg)
     load = [data.load_csv_dataset(path, task, cfg.text_column, cfg.label_column,

@@ -345,7 +345,7 @@ def test_synth_generate_is_deterministic():
 def test_synth_generate_structure():
     data = synth_generate(5, n_per_task=60, vocab_size=50, signal=0.8,
                           n_test_per_task=20)
-    assert len(data.lexicon) == 5  # a tenth of the vocabulary size
+    assert len(data.lexicon.terms) == 5  # a tenth of the vocabulary size
     assert len(data.vocab) == 52  # tokens plus pad and unk
     assert len(data.sentiment) == len(data.depression) == 60
     assert len(data.sentiment_test) == len(data.depression_test) == 20
@@ -358,7 +358,7 @@ def test_synth_marker_bits_match_lexicon():
     data = synth_generate(6, n_per_task=40, vocab_size=30, signal=0.9)
     for ex in data.depression.examples:
         tokens = [data.vocab.id_to_token[i] for i in ex.token_ids]
-        expected = [1 if t in data.lexicon else 0 for t in tokens]
+        expected = [1 if t in data.lexicon.terms else 0 for t in tokens]
         assert ex.marker_bits == expected
 
 

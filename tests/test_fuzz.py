@@ -10,6 +10,7 @@ parameter of the checkpoint's model is set to a huge or non-finite value.
 import contextlib
 import io
 import zipfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -20,8 +21,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from textmoe import (  # noqa: E402
-    RmsProp, UsageError, cli, load_checkpoint, load_glove, load_run_config,
-    save_checkpoint, write_run_config,
+    RmsProp, TrainingDiverged, UsageError, cli, fit, load_checkpoint, load_glove,
+    load_run_config, save_checkpoint, write_run_config,
 )
 from textmoe.data import DEPRESSION, _load_glove_lines, encode_text  # noqa: E402
 
@@ -288,10 +289,13 @@ def test_predict_stdin(project, lines, junk, blank, errors):
 
 
 @FUZZ_TEXT
-@given(data=st.data(), value=st.sampled_from([3e38, -3e38, np.inf, -np.inf, np.nan]))
-def test_one_extreme_parameter(project, data, value):
+@given(data=st.data(), value=st.sampled_from([3e38, -3e38, np.inf, -np.inf, np.nan]),
+       lr=st.sampled_from([1e-3, 1e30]))
+def test_one_extreme_parameter(project, data, value, lr):
     # infer answers with finite logits or raises UsageError, predict exits
-    # 0 or 2, and an optimizer step reaches every parameter without raising.
+    # 0 or 2, an optimizer step reaches every parameter without raising, and
+    # a one-epoch fit returns or raises TrainingDiverged. The suite turns a
+    # RuntimeWarning into an error, so none may escape any of them.
     ckpt = load_checkpoint(str(project["root"] / "run" / "model.npz"))
     params = dict(ckpt.model.named_parameters())
     name = data.draw(st.sampled_from(sorted(params)))
@@ -312,3 +316,8 @@ def test_one_extreme_parameter(project, data, value):
         p.grad = np.ones_like(p.data)
     opt.step()
     assert all(p.grad is None for p in params.values())
+    cfg = load_run_config(str(project["root"] / "data" / "config.ini"))
+    bundle = cli.load_bundle(cfg)
+    with contextlib.suppress(TrainingDiverged):
+        fit(load_checkpoint(str(path)).model, bundle.sentiment, bundle.depression,
+            replace(cfg.train_config(), max_epochs=1, learning_rate=lr))

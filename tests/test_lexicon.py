@@ -38,8 +38,8 @@ def tsv_path(tmp_path):
 def test_default_emotions_filter(tsv_path):
     lex = load_nrc_lexicon(tsv_path)
     assert lex.terms == frozenset({"abandon", "gloomy", "outrage"})
-    assert "table" not in lex
-    assert len(lex) == 3
+    assert "table" not in lex.terms
+    assert len(lex.terms) == 3
 
 
 def test_selected_emotions(tsv_path):
@@ -49,7 +49,7 @@ def test_selected_emotions(tsv_path):
 
 def test_flag_zero_rows_are_skipped(tsv_path):
     lex = load_nrc_lexicon(tsv_path, selected_emotions={"disgust"})
-    assert len(lex) == 0
+    assert len(lex.terms) == 0
 
 
 def test_unknown_emotion_rejected(tsv_path):
@@ -113,7 +113,7 @@ def test_emotion_name_inventory():
 def test_bundled_assets_load():
     root = importlib.resources.files("textmoe") / "assets"
     plain = load_plain_lexicon(str(root / "english_lexicon.txt"))
-    assert len(plain) > 20
+    assert len(plain.terms) > 20
     assert all(t == t.lower() for t in plain.terms)
     nrc = load_nrc_lexicon(str(root / "nrc_sample.tsv"))
-    assert len(nrc) > 0
+    assert len(nrc.terms) > 0

@@ -10,7 +10,6 @@ import pytest
 
 from textmoe import (
     ConfigError,
-    EarlyStopper,
     Example,
     ModelConfig,
     MoeClassifier,
@@ -211,33 +210,6 @@ def test_l2_zero_keeps_loss_a_pure_ce():
     a = compute_loss(logits, np.array([0, 1])).item()
     b = compute_loss(logits, np.array([0, 1]), [theta], lambda_l2=0.0).item()
     assert a == b
-
-
-# ------------------------------------------------------------ early stopping
-
-
-def test_early_stopper_boundary():
-    s = EarlyStopper(patience=2)
-    assert s.update(1.0) is True
-    assert not s.should_stop
-    assert s.update(1.0) is False  # equality is not an improvement
-    assert not s.should_stop
-    assert s.update(1.1) is False
-    assert s.should_stop
-
-
-def test_early_stopper_resets_on_improvement():
-    s = EarlyStopper(patience=2)
-    s.update(1.0)
-    s.update(2.0)
-    assert s.update(0.5) is True
-    assert s.epochs_since_improvement == 0
-    assert not s.should_stop
-
-
-def test_early_stopper_patience_validation():
-    with pytest.raises(ConfigError):
-        EarlyStopper(patience=0)
 
 
 # ------------------------------------------------------------------- splits
@@ -519,6 +491,26 @@ def test_fit_early_stop_and_lr_decay():
     assert min(lrs) < 5e-2  # decay fired while validation stalled
 
 
+def test_fit_early_stopping_follows_the_validation_losses(monkeypatch):
+    # Epoch 2 equals the best (no improvement), epoch 3 improves after that
+    # stall and resets the count, epoch 5's NaN and epoch 6's equal loss do
+    # not improve: the count reaches lr_patience 2 at epoch 5 and
+    # early_stop_patience 3 at epoch 6.
+    losses = iter([1.0, 1.0, 0.5, 0.7, math.nan, 0.5, 0.4, 0.3, 0.2, 0.1])
+    dataset_ce_ = train_module.dataset_ce
+    monkeypatch.setattr(train_module, "dataset_ce", lambda model, ds, batch_size: (
+        next(losses), dataset_ce_(model, ds, batch_size)[1]))
+    report = fit(small_model(seed=7), None, make_dataset(DEPRESSION, 30, seed=18),
+                 train_config(ratio=(0, 1), max_epochs=10, learning_rate=1e-3,
+                              lr_patience=2, early_stop_patience=3))
+    assert report.stop_reason == "early_stop"
+    assert [r.epoch for r in report.epochs] == [1, 2, 3, 4, 5, 6]
+    assert report.best_epoch == 3
+    assert report.best_val_loss == 0.5
+    assert [r.lr for r in report.epochs] == [1e-3] * 4 + [5e-4] * 2
+    assert math.isnan(report.epochs[4].val_loss)
+
+
 def test_fit_reports_losses_per_task():
     report = fit(small_model(seed=8), make_dataset(SENTIMENT, 24, seed=19),
                  make_dataset(DEPRESSION, 24, seed=20),
@@ -536,8 +528,9 @@ def test_fit_sentiment_loss_is_nan_when_task_is_off():
     assert math.isnan(report.epochs[0].sentiment_loss)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf/nan on purpose
 def test_fit_flags_divergence():
+    # Under the suite's error::RuntimeWarning, an overflowing forward must
+    # reach fit's finiteness check instead of escaping as a warning.
     model = small_model(seed=10)
     with pytest.raises(TrainingDiverged, match="epoch"):
         fit(model, None, make_dataset(DEPRESSION, 64, seed=22),
